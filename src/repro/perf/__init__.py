@@ -3,7 +3,7 @@
 One small primitive, :class:`PhaseTimers`, shared by every layer that
 wants a measured (not asserted) performance story: the BMC scheduler
 times *encode* vs *solve* per run, the solver times *propagate* /
-*analyze* / *reduce* / *simplify* inside its search loop
+*analyze* / *reduce* / *simplify* / *decide* inside its search loop
 (:class:`repro.sat.solver.SolverStats` ``time_*_s`` fields), and the
 fuzz farm times its SAT vs simulation halves per round.  Everything is
 plain ``time.perf_counter()`` arithmetic — no sampling, no threads —

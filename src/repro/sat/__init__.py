@@ -3,8 +3,8 @@
 A self-contained CDCL solver in the MiniSat lineage:
 
 * two-literal watching, first-UIP clause learning with recursive
-  minimization, VSIDS decisions, phase saving, Luby restarts and
-  activity-based learned-clause deletion;
+  minimization, VMTF decisions (VSIDS in the baseline back-end), phase
+  saving, Luby restarts and learned-clause deletion;
 * incremental use — clauses may be added between ``solve`` calls and each
   call takes a list of *assumption* literals, which is how the BMC engine
   multiplexes the three checks of the paper's Figure 3 over one solver;

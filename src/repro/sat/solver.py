@@ -18,7 +18,10 @@ Two propagation back-ends share the search loop:
   pairs in the long-clause watch lists so satisfied clauses are skipped
   on the blocker alone, LBD (glue) scoring with a tiered clause-database
   reduction (glue <= 2 pinned), root-level shrinking of learned clauses
-  against permanent level-0 units, and assumption-trail reuse — a solve
+  against permanent level-0 units, a VMTF (variable move-to-front)
+  decision queue in place of the VSIDS heap — backtracking only moves a
+  search pointer, and new variables queue behind the old ones so earlier
+  frames are decided first — and assumption-trail reuse — a solve
   whose assumption list shares a prefix with the previous solve keeps
   the propagated prefix assigned instead of cancelling to level 0.
 * **baseline** (``fast=False``) — the historical single-watch-scheme
@@ -42,9 +45,11 @@ from repro.utils.luby import luby
 class _VarOrder:
     """Indexed max-heap over variable activities (MiniSat's order heap).
 
-    Position tracking keeps each variable in the heap at most once, so
-    backtracking re-inserts cheaply and decisions never wade through
-    stale duplicates.
+    Baseline back-end only.  Position tracking keeps each variable in the
+    heap at most once, but assigned variables stay in the heap until a
+    decision pops them, so ``pop_max`` discards several assigned
+    variables per decision on BMC instances, and backtracking sifts every
+    unassigned variable back in.
     """
 
     __slots__ = ("activity", "heap", "pos")
@@ -118,6 +123,73 @@ class _VarOrder:
         heap[i] = v
         pos[v] = i
 
+
+class _VmtfQueue:
+    """VMTF decision queue (fast back-end; Biere & Froehlich, SAT 2015).
+
+    A doubly linked list over variables, ``first`` the low-priority end
+    and ``last`` the high-priority end, with enqueue stamps strictly
+    increasing toward ``last``.  Conflict analysis moves a bumped
+    variable to ``last`` with a fresh stamp; :meth:`push_low` queues a new
+    variable at ``first``, so older variables (earlier BMC frames, their
+    inputs and latches) are decided before newer ones.  Every variable
+    past ``search`` (toward ``last``) is assigned: a decision walks from
+    ``search`` toward ``first`` and backtracking only moves ``search`` up
+    to the highest-stamped variable it unassigns.  ``prev``/``next`` use
+    0 (the unused variable slot) as the null link.
+    """
+
+    __slots__ = ("prev", "next", "stamp", "first", "last", "search",
+                 "bumps", "pushes")
+
+    def __init__(self) -> None:
+        self.prev: list[int] = [0]
+        self.next: list[int] = [0]
+        self.stamp: list[int] = [0]
+        self.first = 0
+        self.last = 0
+        self.search = 0
+        #: Stamp counters: bumps count up from 1, pushes down from -1.
+        self.bumps = 0
+        self.pushes = 0
+
+    def push_low(self, var: int) -> None:
+        """Append a new variable ``var`` at the low-priority end."""
+        self.pushes -= 1
+        self.stamp.append(self.pushes)
+        self.prev.append(0)
+        self.next.append(self.first)
+        if self.first:
+            self.prev[self.first] = var
+        else:
+            self.last = self.search = var
+        self.first = var
+
+    def bump(self, var: int) -> None:
+        """Move ``var`` to the high-priority end with a fresh stamp.
+
+        Conflict analysis bumps assigned variables only, so every
+        variable past ``search`` stays assigned; when ``var`` is
+        ``search`` itself, nothing lies past it afterwards.
+        """
+        self.bumps += 1
+        self.stamp[var] = self.bumps
+        last = self.last
+        if var == last:
+            return
+        prev, nxt = self.prev, self.next
+        p, n = prev[var], nxt[var]
+        if p:
+            nxt[p] = n
+        else:
+            self.first = n
+        prev[n] = p
+        prev[var] = last
+        nxt[var] = 0
+        nxt[last] = var
+        self.last = var
+
+
 UNASSIGNED = -1
 
 _TRUE = 1
@@ -162,6 +234,9 @@ class SolverStats:
     time_analyze_s: float = 0.0
     time_reduce_s: float = 0.0
     time_simplify_s: float = 0.0
+    #: Deciding (free branch picks and assumption decisions) plus the
+    #: backtracks at solve entry and at restarts.
+    time_decide_s: float = 0.0
 
     def snapshot(self) -> dict:
         return dict(self.__dict__)
@@ -201,9 +276,9 @@ class Solver:
         memory.
     fast:
         Select the modern propagation back-end (binary watchers, blocker
-        literals, LBD-tiered reduction, assumption-trail reuse — see the
-        module docstring).  ``False`` runs the historical baseline, kept
-        as the differential oracle.
+        literals, LBD-tiered reduction, VMTF decisions, assumption-trail
+        reuse — see the module docstring).  ``False`` runs the historical
+        baseline, kept as the differential oracle.
     """
 
     #: Tier bounds for the fast reduce: learned clauses with glue (LBD)
@@ -224,7 +299,6 @@ class Solver:
         self._assigns: list[int] = [UNASSIGNED]
         self._levels: list[int] = [0]
         self._reasons: list[int] = [-1]
-        self._activity: list[float] = [0.0]
         self._saved_phase: list[int] = [_FALSE]
         # Watches indexed by internal literal.  Baseline entries are bare
         # clause ids; fast entries are ``(cid, blocker)`` pairs.
@@ -260,12 +334,16 @@ class Solver:
         #: Level-0 trail length the last _simplify_learned ran against.
         self._simplified_fixed = 0
         self._qhead = 0
-        # Heuristics.
-        self._var_inc = 1.0
-        self._var_decay = 1.0 / 0.95
+        # Heuristics: VMTF decisions (fast) or VSIDS activities (baseline).
+        if fast:
+            self._queue = _VmtfQueue()
+        else:
+            self._activity: list[float] = [0.0]
+            self._var_inc = 1.0
+            self._var_decay = 1.0 / 0.95
+            self._order = _VarOrder(self._activity)
         self._cla_inc = 1.0
         self._cla_decay = 1.0 / 0.999
-        self._order = _VarOrder(self._activity)
         self._max_learnts = 4000.0
         self._learnt_growth = 1.1
         # Terminal state.
@@ -290,7 +368,6 @@ class Solver:
         self._assigns.append(UNASSIGNED)
         self._levels.append(0)
         self._reasons.append(-1)
-        self._activity.append(0.0)
         self._saved_phase.append(_FALSE)
         self._watches.append([])
         self._watches.append([])
@@ -298,8 +375,12 @@ class Solver:
         self._bin_watches.append([])
         self._seen.append(False)
         var = len(self._assigns) - 1
-        self._order.grow()
-        self._order.insert(var)
+        if self._fast:
+            self._queue.push_low(var)
+        else:
+            self._activity.append(0.0)
+            self._order.grow()
+            self._order.insert(var)
         return var
 
     @property
@@ -431,6 +512,10 @@ class Solver:
         for lt in iassumps:
             if not 1 <= (lt >> 1) <= self.num_vars:
                 raise ValueError(f"assumption {_to_external(lt)} references unknown variable")
+        prof = self.profile
+        st = self.stats
+        if prof:
+            t0 = time.perf_counter()
         if self._fast:
             # Assumption-trail reuse: keep the longest decision-level
             # prefix whose assumption literals match this call's.
@@ -443,10 +528,10 @@ class Solver:
             self.stats.trail_saved_levels += keep
         else:
             self._cancel_until(0)
-        prof = self.profile
-        st = self.stats
         if prof:
-            t0 = time.perf_counter()
+            t1 = time.perf_counter()
+            st.time_decide_s += t1 - t0
+            t0 = t1
         confl = self._propagate()
         if prof:
             st.time_propagate_s += time.perf_counter() - t0
@@ -514,7 +599,11 @@ class Solver:
                 conflicts_budget = luby(restart_n) * 100
                 conflicts_here = 0
                 self.stats.restarts += 1
+                if prof:
+                    t0 = time.perf_counter()
                 self._cancel_until(0)
+                if prof:
+                    st.time_decide_s += time.perf_counter() - t0
                 if self._fast:
                     if prof:
                         t0 = time.perf_counter()
@@ -528,26 +617,34 @@ class Solver:
                 self._reduce_db()
                 if prof:
                     st.time_reduce_s += time.perf_counter() - t0
+            if prof:
+                t0 = time.perf_counter()
             # Assumption decisions come first, in order.
             lvl = self._decision_level()
             if lvl < len(iassumps):
                 p = iassumps[lvl]
                 v = self._lit_value(p)
+                if v == _FALSE:
+                    if prof:
+                        st.time_decide_s += time.perf_counter() - t0
+                    self._analyze_final(p)
+                    return self._result(False)
                 if v == _TRUE:
                     # Already satisfied: open an empty decision level so
                     # the index into `iassumps` keeps advancing.
                     self._trail_lim.append(len(self._trail))
                     self._assump_levels.append(p)
-                    continue
-                if v == _FALSE:
-                    self._analyze_final(p)
-                    return self._result(False)
-                self.stats.decisions += 1
-                self._trail_lim.append(len(self._trail))
-                self._assump_levels.append(p)
-                self._enqueue(p, -1)
+                else:
+                    self.stats.decisions += 1
+                    self._trail_lim.append(len(self._trail))
+                    self._assump_levels.append(p)
+                    self._enqueue(p, -1)
+                if prof:
+                    st.time_decide_s += time.perf_counter() - t0
                 continue
             p = self._pick_branch()
+            if prof:
+                st.time_decide_s += time.perf_counter() - t0
             if p == -1:
                 return self._result(True)
             self.stats.decisions += 1
@@ -1152,14 +1249,31 @@ class Solver:
         assigns = self._assigns
         saved = self._saved_phase
         reasons = self._reasons
-        insert = self._order.insert
-        for i in range(len(self._trail) - 1, bound - 1, -1):
-            ilit = self._trail[i]
-            var = ilit >> 1
-            saved[var] = assigns[var]
-            assigns[var] = UNASSIGNED
-            reasons[var] = -1
-            insert(var)
+        if self._fast:
+            # VMTF: no re-insertion; the search pointer moves up to the
+            # highest-stamped variable unassigned here.
+            queue = self._queue
+            stamp = queue.stamp
+            search = queue.search
+            best = stamp[search]
+            for ilit in self._trail[bound:]:
+                var = ilit >> 1
+                saved[var] = assigns[var]
+                assigns[var] = UNASSIGNED
+                reasons[var] = -1
+                if stamp[var] > best:
+                    best = stamp[var]
+                    search = var
+            queue.search = search
+        else:
+            insert = self._order.insert
+            for i in range(len(self._trail) - 1, bound - 1, -1):
+                ilit = self._trail[i]
+                var = ilit >> 1
+                saved[var] = assigns[var]
+                assigns[var] = UNASSIGNED
+                reasons[var] = -1
+                insert(var)
         del self._trail[bound:]
         del self._trail_lim[level:]
         del self._assump_levels[level:]
@@ -1238,6 +1352,9 @@ class Solver:
     # -- heuristics ----------------------------------------------------
 
     def _bump_var(self, var: int) -> None:
+        if self._fast:
+            self._queue.bump(var)
+            return
         self._activity[var] += self._var_inc
         if self._activity[var] > 1e100:
             for v in range(1, len(self._activity)):
@@ -1270,12 +1387,25 @@ class Solver:
                     self._clause_lbd[cid] = nl
 
     def _decay_activities(self) -> None:
-        self._var_inc *= self._var_decay
+        if not self._fast:
+            self._var_inc *= self._var_decay
         self._cla_inc *= self._cla_decay
 
     def _pick_branch(self) -> int:
-        order = self._order
+        """Next free decision literal (saved phase), or -1 when every
+        variable is assigned."""
         assigns = self._assigns
+        if self._fast:
+            queue = self._queue
+            prev = queue.prev
+            var = queue.search
+            while var and assigns[var] != UNASSIGNED:
+                var = prev[var]
+            if not var:
+                return -1
+            queue.search = var
+            return var << 1 | (1 if self._saved_phase[var] == _FALSE else 0)
+        order = self._order
         while len(order):
             var = order.pop_max()
             if assigns[var] == UNASSIGNED:
