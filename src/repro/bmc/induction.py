@@ -24,8 +24,7 @@ far beyond ``i``, and a single global activation literal would force
 loop-freedom over *those* frames too, turning a depth-``i`` forward
 check into "no loop-free path of the deepest encoded length exists":
 spuriously UNSAT at the design's diameter.  The master ``a_lfp``
-literal implies every ``g_k`` and is kept for whole-encoding callers
-(recurrence-diameter computation) where all frames are in scope.
+literal implies every ``g_k``, activating all encoded frames at once.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ EMM constraints, LFP clauses, then the property literal).
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.aig.aig import Aig
@@ -87,7 +88,7 @@ class EncodingSession:
                 "(repro.design.expand_memories) for the explicit baseline")
         self.solver = Solver(proof=options.pba,
                              fast=not options.solver_baseline)
-        self.aig = Aig(strash=options.strash)
+        self.aig = Aig()
         # PBA sessions keep the plain AND-triple lowering: the ITE form
         # is function-equivalent but collapses each mux's two inner AND
         # provenance points into one 4-clause emission, which yields
@@ -95,9 +96,7 @@ class EncodingSession:
         # abstraction of latches the proof run still needs (quicksort
         # P2 regression).  `pba` is part of encoding_key, so fast and
         # ITE-lowered sessions are never cache-aliased with these.
-        self.emitter = CnfEmitter(self.aig, self.solver,
-                                  strash=options.strash,
-                                  ite=not options.pba)
+        self.emitter = CnfEmitter(self.aig, self.solver, ite=not options.pba)
         self.unroller = Unroller(design, self.emitter, options.kept_latches)
         self.a_init = self.solver.new_var()
         self.a_lfp = self.solver.new_var()
@@ -108,23 +107,24 @@ class EncodingSession:
         self.kept_memories = kept_mems
         port_map = options.kept_read_ports or {}
         registries = self._shared_init_registries(kept_mems)
+        encoding = options.emm_encoding
+        if encoding == "gates":
+            from repro.emm.gates import GateEmmMemory
+            emm_class = GateEmmMemory
+        elif encoding in ("hybrid", "paper"):
+            emm_class = partial(EmmMemory, paper=encoding == "paper")
+        else:
+            raise ValueError(
+                f"unknown emm_encoding {encoding!r} "
+                "(expected 'hybrid', 'paper' or 'gates')")
         #: Session-scoped cross-memory comparator registry: one table per
         #: booking class, shared by every memory's comparators so
         #: structurally identical address comparisons encode once across
         #: memories (hits multi-label the clauses — see
-        #: :mod:`repro.emm.addrcmp`).  Needs the per-memory cache on.
-        self.cmp_registry = (SharedComparatorTables()
-                             if options.emm_cross_mem_share
-                             and options.emm_addr_dedup else None)
-        if options.emm_encoding == "hybrid":
-            emm_class = EmmMemory
-        elif options.emm_encoding == "gates":
-            from repro.emm.gates import GateEmmMemory
-            emm_class = GateEmmMemory
-        else:
-            raise ValueError(
-                f"unknown emm_encoding {options.emm_encoding!r} "
-                "(expected 'hybrid' or 'gates')")
+        #: :mod:`repro.emm.addrcmp`).  None under ``paper``, whose
+        #: comparators are fresh.
+        self.cmp_registry = (None if encoding == "paper"
+                             else SharedComparatorTables())
         self.emms = {
             name: emm_class(self.solver, self.unroller, name,
                             exclusivity=options.exclusivity,
@@ -133,9 +133,6 @@ class EncodingSession:
                             a_meminit=self.a_meminit,
                             kept_read_ports=port_map.get(name),
                             init_registry=registries.get(name),
-                            addr_dedup=options.emm_addr_dedup,
-                            chain_share=options.emm_chain_share,
-                            hybrid_strash=options.emm_hybrid_strash,
                             cmp_registry=self.cmp_registry)
             for name in sorted(kept_mems)
         }

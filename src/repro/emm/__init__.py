@@ -17,18 +17,19 @@ semantics *data read = most recent data written at the same address*
   is what makes SAT-based induction proofs sound (Section 4.2).
 
 Two chain back-ends realise those semantics: the default routes the
-chain and read-data muxes through the structurally hashed AIG
-(``hybrid_strash``, shared builders with the pure-gate encoding in
-:mod:`repro.aig.ops`, cross-frame suffix sharing on recurring address
-cones), while ``hybrid_strash=False`` re-emits the paper's direct CNF
-above — the exact encoding the closed forms below count.
+chain and read-data muxes through the structurally hashed AIG (the
+chain builder shared with the pure-gate encoding in :mod:`repro.aig.ops`,
+cross-frame suffix sharing on recurring address cones), while
+``EmmMemory(paper=True)`` (``BmcOptions.emm_encoding="paper"``) re-emits
+the paper's direct CNF above — the exact encoding the closed forms below
+count.
 
 :mod:`repro.emm.accounting` carries the paper's closed-form constraint
 counts; tests assert the implementation matches them clause for clause.
 :mod:`repro.emm.addrcmp` deduplicates the address comparators behind
 those counts (per-memory or session-shared cache + constant folding,
-multi-label PBA provenance) — the closed forms are upper bounds once
-dedup is on, and ``EmmCounters`` reports how much was saved
+multi-label PBA provenance) — the closed forms are upper bounds outside
+the ``paper`` encoding, and ``EmmCounters`` reports how much was saved
 (``addr_eq_cache_hits`` / ``addr_eq_folded`` /
 ``cross_mem_cmp_hits``).
 """

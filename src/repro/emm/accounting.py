@@ -18,16 +18,15 @@ constraints; an all-pairs count over the kR fresh reads is
 why this reproduction constrains all pairs (same-port reads at different
 depths also need consistency for induction proofs to be sound).
 
-Comparator dedup (:mod:`repro.emm.addrcmp`, on by default): the closed
-forms above assume every comparison pays the full ``4m+1`` clauses and
-``m+1`` variables.  With the per-memory comparator cache and constant
-folding they become *upper bounds*: a structural repeat costs 0 (counted
-in ``EmmCounters.addr_eq_cache_hits``), a fully constant comparison
-costs 0 (``addr_eq_folded``), and a const-vs-symbolic comparison costs
-:func:`addr_eq_clauses_const` instead of :func:`addr_eq_clauses_full`.
-The exact-count tests therefore use workloads whose address cones are
-fresh symbolic inputs, where dedup finds nothing and the bounds are
-tight.
+Comparator dedup (:mod:`repro.emm.addrcmp`, on outside the ``paper``
+encoding): the closed forms above assume every comparison pays the full
+``4m+1`` clauses and ``m+1`` variables.  With the comparator cache and
+constant folding they become *upper bounds*: a structural repeat costs 0
+(counted in ``EmmCounters.addr_eq_cache_hits``), a fully constant
+comparison costs 0 (``addr_eq_folded``), and a const-vs-symbolic
+comparison costs :func:`addr_eq_clauses_const` instead of
+:func:`addr_eq_clauses_full`.  The exact-count tests therefore run the
+``paper`` encoding, whose fresh comparators pay the full price.
 """
 
 from __future__ import annotations
@@ -106,8 +105,9 @@ def init_consistency_pairs_all(k: int, r_ports: int) -> int:
 
 # -- chain-share closed forms (reproduction extension, not in the paper) --
 #
-# ``BmcOptions.emm_chain_share`` (on by default) changes two growth
-# terms.  The gate EMM encoding's priority chain becomes an
+# The default ``hybrid`` and the ``gates`` encodings
+# (``BmcOptions.emm_encoding``) change two growth terms relative to the
+# ``paper`` encoding.  The gate EMM encoding's priority chain becomes an
 # oldest-write-first mux chain whose per-pair cost is bounded by
 # :func:`mux_chain_gates_per_read_port`; on recurring address cones the
 # strash layer answers whole repeated stages from its table
@@ -150,7 +150,7 @@ def suffix_shared_frame_gates(addr_width: int, data_width: int,
     return (4 * m + 3 * n + 2) * w_ports + 4 * n
 
 
-# -- AIG-routed hybrid back-end (``BmcOptions.emm_hybrid_strash``) --------
+# -- AIG-routed hybrid back-end (``BmcOptions.emm_encoding="hybrid"``) ----
 #
 # The hybrid encoder's comparators stay CNF (the ``4m+1`` closed forms
 # above still price them), but the chain and data muxes become AIG nodes

@@ -31,15 +31,16 @@ has not seen yet *joins* that label onto the entry's clauses
 a shared comparator attributes it to **every** consumer it served —
 ``Solver.core_labels`` flattens the resulting multi-labels back into
 individual ``("emm", name, *)`` tuples.  That label joining is what
-makes a **cross-memory** cache sound: with
-``BmcOptions.emm_cross_mem_share`` (default on) the
+makes a **cross-memory** cache sound: under the ``hybrid`` and
+``gates`` encodings (``BmcOptions.emm_encoding``) the
 :class:`EncodingSession` owns one :class:`SharedComparatorTables`
 registry and every memory's comparator resolves against it, so two
 memories whose address cones lower to the same SAT-literal tuples — the
 miter/equivalence case, where both copies see identical cones — share
-one ``4m+1``-clause block and the core names *both* memories.  (The
-historical per-memory scoping survives as the ``registry=None``
-default and the ``--no-cross-mem-share`` baseline.)
+one ``4m+1``-clause block and the core names *both* memories.  A
+comparator built without a registry (a standalone memory) keeps a
+private table: the single-memory case of the same code.  The ``paper``
+encoding uses ``fresh`` comparators instead, with no table at all.
 
 The registry is still split by **consumer booking class** (keyed on the
 comparator's ``hit_counter`` name): the race monitor books into
@@ -84,7 +85,7 @@ class _CacheEntry:
 
 
 class SharedComparatorTables:
-    """Session-scoped comparator registry (``emm_cross_mem_share``).
+    """Session-scoped comparator registry (cross-memory sharing).
 
     Owned by :class:`repro.bmc.session.EncodingSession` and handed to
     every memory's :class:`AddrComparator`: comparators with the same
@@ -116,13 +117,11 @@ class AddrComparator:
     solver, emitter:
         The run's solver and Tseitin emitter (the emitter owns the
         dedicated always-true constant variable used for folds).
-    cache:
-        Enable comparator reuse.  With ``cache=False`` every call
-        encodes afresh (the A/B baseline for the dedup cross-checks).
-    fold:
-        Enable constant detection.  With ``fold=False`` the encoding is
-        bit-for-bit the paper's ``4m+1``-clause form regardless of the
-        operands, which keeps the closed-form accounting tests exact.
+    fresh:
+        The paper's comparator: no cache and no constant detection.
+        Every call encodes afresh, bit-for-bit the ``4m+1``-clause form
+        regardless of the operands, which keeps the closed-form
+        accounting tests exact (the ``paper`` EMM encoding).
     hit_counter, fold_counter:
         Names of the counter attributes bumped on cache hits / folds.
         A consumer whose clause counters must stay independent of other
@@ -137,22 +136,21 @@ class AddrComparator:
         (cross-memory sharing; hits join the caller's label, see the
         module docstring); ``owner`` names this consumer (the memory)
         for cross-memory hit attribution.  Without a registry the table
-        is private — the historical per-memory scope.
+        is private to this comparator.
     """
 
-    __slots__ = ("solver", "emitter", "cache", "fold", "hit_counter",
+    __slots__ = ("solver", "emitter", "fresh", "hit_counter",
                  "fold_counter", "owner", "_registry", "_table")
 
     def __init__(self, solver: Solver, emitter: CnfEmitter,
-                 cache: bool = True, fold: bool = True,
+                 fresh: bool = False,
                  hit_counter: str = "addr_eq_cache_hits",
                  fold_counter: str = "addr_eq_folded",
                  registry: Optional[SharedComparatorTables] = None,
                  owner: Optional[str] = None) -> None:
         self.solver = solver
         self.emitter = emitter
-        self.cache = cache
-        self.fold = fold
+        self.fresh = fresh
         self.hit_counter = hit_counter
         self.fold_counter = fold_counter
         self.owner = owner
@@ -179,7 +177,7 @@ class AddrComparator:
             raise ValueError("address words differ in width")
         ta, tb = tuple(a_bits), tuple(b_bits)
         key = (ta, tb) if ta <= tb else (tb, ta)
-        if self.cache:
+        if not self.fresh:
             entry = self._table.get(key)
             if entry is not None:
                 setattr(c, self.hit_counter, getattr(c, self.hit_counter) + 1)
@@ -193,7 +191,7 @@ class AddrComparator:
                 return entry.lit
         cids: list[int] = []
         e = self._encode(ta, tb, label, c, counter, cids)
-        if self.cache:
+        if not self.fresh:
             self._table[key] = _CacheEntry(e, tuple(cids), label, self.owner)
         return e
 
@@ -204,10 +202,10 @@ class AddrComparator:
         The constant is lowered to literals of the emitter's always-true
         variable, so it shares the cache and folding rules of :meth:`eq`
         (a constant address cone against a constant value folds to
-        TRUE/FALSE with zero clauses).  With ``fold=False`` it emits the
-        legacy uncached ``m+1``-clause unit form instead.
+        TRUE/FALSE with zero clauses).  A ``fresh`` comparator emits the
+        paper's uncached ``m+1``-clause unit form instead.
         """
-        if self.fold:
+        if not self.fresh:
             t = self.emitter.true_lit()
             const_bits = [t if (value >> i) & 1 else -t
                           for i in range(len(addr))]
@@ -246,7 +244,7 @@ class AddrComparator:
                 label: Hashable, c, counter: str,
                 cids: Optional[list[int]] = None) -> int:
         em = self.emitter
-        if self.fold:
+        if not self.fresh:
             sym_pairs: list[tuple[int, int]] = []  # both sides symbolic
             units: list[int] = []  # literal equivalent to one bit's equality
             for a, b in zip(ta, tb):

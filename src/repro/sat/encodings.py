@@ -4,8 +4,8 @@ The EMM exclusivity chain of equation (4) is, at heart, an at-most-one
 constraint over the matching read-write pair signals — built there as an
 AND-chain because the paper's hybrid representation wants gates.  This
 module provides the classic clause-level alternatives (pairwise,
-sequential counter, commander) so the ablation benchmarks can compare
-encodings, plus the XOR/one-hot helpers the test generators use.
+sequential counter, commander) plus XOR/one-hot helpers.  No pipeline,
+bench or CLI path calls them; only ``tests/test_encodings.py`` does.
 
 All functions emit clauses through a caller-supplied ``add_clause`` and
 allocate auxiliaries through ``new_var`` — they work against the

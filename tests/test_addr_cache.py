@@ -2,9 +2,10 @@
 
 The comparator cache and constant folding must be invisible to every
 observable verification outcome: randomized multi-port designs are run
-through full BMC (induction + PBA) with ``emm_addr_dedup`` on and off,
-and statuses, depths, trace validity and the PBA latch/memory reason
-sets must coincide.  Separate tests pin down the accounting: recurring
+through full BMC (induction + PBA) under the default ``hybrid``
+encoding (dedup on) and the ``paper`` encoding (fresh comparators), and
+statuses, depths, trace validity and the PBA latch/memory reason sets
+must coincide.  Separate tests pin down the accounting: recurring
 address cones produce cache hits, constant addresses produce folds, the
 const-vs-symbolic form costs m+1 clauses, and the race monitor books
 into its dedicated counters without touching the paper-formula ones.
@@ -15,7 +16,7 @@ import random
 import pytest
 
 from repro.aig import Aig, CnfEmitter
-from repro.bmc import BmcOptions, bmc3, verify
+from repro.bmc import bmc3, verify
 from repro.bmc.unroller import Unroller
 from repro.design import Design
 from repro.emm import AddrComparator, EmmMemory, accounting
@@ -23,7 +24,8 @@ from repro.sat import Solver
 
 
 # ---------------------------------------------------------------------------
-# Randomized cross-check: dedup on/off must verify identically.
+# Randomized cross-check: dedup on (hybrid) / off (paper) must verify
+# identically.
 # ---------------------------------------------------------------------------
 
 def random_design(rng: random.Random) -> tuple[Design, str]:
@@ -70,11 +72,8 @@ def test_dedup_is_invisible_to_verification(seed):
     """Statuses, depths, trace validity and PBA reasons match on/off."""
     rng = random.Random(seed)
     design, prop = random_design(rng)
-    results = []
-    for dedup in (True, False):
-        r = verify(design, prop, bmc3(max_depth=4, emm_addr_dedup=dedup))
-        results.append(r)
-    on, off = results
+    on, off = (verify(design, prop, bmc3(max_depth=4, emm_encoding=enc))
+               for enc in ("hybrid", "paper"))
     assert on.status == off.status, (seed, on.status, off.status)
     assert on.depth == off.depth
     assert on.method == off.method
@@ -87,30 +86,19 @@ def test_dedup_is_invisible_to_verification(seed):
 
 @pytest.mark.parametrize("seed", [0, 3, 5])
 def test_dedup_never_grows_the_encoding(seed):
-    """Dedup-on never emits more EMM clauses or variables than off."""
+    """Dedup-on never emits more EMM clauses or variables than the
+    paper's fresh comparators.  ``exclusivity=False`` keeps both sides
+    on the raw chain, so the comparison isolates the comparator layer
+    (plus eq-(6) pruning and merging, which only ever shrink)."""
     rng = random.Random(seed)
     design, prop = random_design(rng)
-    on = verify(design, prop, bmc3(max_depth=4, emm_addr_dedup=True))
-    off = verify(design, prop, bmc3(max_depth=4, emm_addr_dedup=False))
+    on, off = (verify(design, prop, bmc3(max_depth=4, exclusivity=False,
+                                         emm_encoding=enc))
+               for enc in ("hybrid", "paper"))
     assert on.stats.emm_clauses <= off.stats.emm_clauses
     assert on.stats.emm_vars <= off.stats.emm_vars
     assert off.stats.emm_addr_eq_cache_hits == 0
     assert off.stats.emm_addr_eq_folded == 0
-
-
-def test_gate_encoding_accepts_dedup_flag():
-    d = Design("g")
-    t = d.latch("t", 2, init=0)
-    t.next = t.expr + 1
-    mem = d.memory("m", 2, 2, init=None)
-    mem.write(0).connect(addr=d.input("wa", 2), data=d.input("wd", 2),
-                         en=d.input("we", 1))
-    mem.read(0).connect(addr=d.const(1, 2), en=1)
-    d.invariant("p", mem.read(0).data.ule(3))
-    for dedup in (True, False):
-        r = verify(d, "p", BmcOptions(max_depth=3, emm_encoding="gates",
-                                      emm_addr_dedup=dedup))
-        assert r.status == "proof"
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +155,7 @@ class TestComparatorUnit:
         assert c.addr_eq_clauses == accounting.addr_eq_clauses_const(3)
 
     def test_disabled_matches_paper_form(self):
-        cmp_, c, v, _ = fresh_cmp(4, cache=False, fold=False)
+        cmp_, c, v, _ = fresh_cmp(4, fresh=True)
         a, b = v[:2], v[2:]
         e1 = cmp_.eq(a, b, None, c, "addr_eq_clauses")
         e2 = cmp_.eq(a, b, None, c, "addr_eq_clauses")
@@ -213,7 +201,7 @@ def run_emm(design, depth, **kw):
 class TestRaceAccounting:
     def test_race_clauses_have_dedicated_counters(self):
         emm = run_emm(racy_two_port_design(), 4, check_races=True,
-                      addr_dedup=False)
+                      paper=True)
         c = emm.counters
         assert c.race_addr_eq_clauses > 0
         assert c.race_gates > 0
@@ -222,9 +210,9 @@ class TestRaceAccounting:
         assert c.race_gates == 5 * 2  # both-enables AND + pair AND per frame
 
     def test_race_monitor_does_not_skew_paper_counters(self):
-        plain = run_emm(racy_two_port_design(), 4, addr_dedup=False)
+        plain = run_emm(racy_two_port_design(), 4, paper=True)
         raced = run_emm(racy_two_port_design(), 4, check_races=True,
-                        addr_dedup=False)
+                        paper=True)
         c0, c1 = plain.counters, raced.counters
         assert c1.addr_eq_clauses == c0.addr_eq_clauses
         assert c1.excl_gates == c0.excl_gates
@@ -258,8 +246,8 @@ class TestRaceAccounting:
             d.invariant("p", mem.read(0).data.ule(3))
             return d
 
-        plain = run_emm(build(), 3, addr_dedup=True)
-        raced = run_emm(build(), 3, check_races=True, addr_dedup=True)
+        plain = run_emm(build(), 3)
+        raced = run_emm(build(), 3, check_races=True)
         c0, c1 = plain.counters, raced.counters
         assert c1.addr_eq_clauses == c0.addr_eq_clauses
         assert c1.addr_eq_cache_hits == c0.addr_eq_cache_hits

@@ -65,6 +65,15 @@ class TestCli:
         assert rc == 0
         assert "witness" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("encoding", ["hybrid", "paper", "gates"])
+    def test_emm_encoding_flag(self, encoding, capsys):
+        rc = main(["verify", "fifo", "--property", "can_fill",
+                   "--engine", "bmc2", "--max-depth", "6",
+                   "--emm-encoding", encoding,
+                   "--addr-width", "2", "--data-width", "2"])
+        assert rc == 0
+        assert "witness" in capsys.readouterr().out
+
 
 class TestExportParse:
     def test_export_to_stdout(self, capsys):

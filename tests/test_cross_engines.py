@@ -149,6 +149,23 @@ class TestRadiusVsRecurrenceDiameter:
         assert r.proved and r.method == "forward"
         assert r.depth == diameter
 
+    def test_diameter_independent_of_emm_encoding(self):
+        """The diameter is a property of the design, not of how EMM
+        encodes its memories."""
+        from repro.bmc import BmcOptions, forward_recurrence_diameter
+        from repro.casestudies.quicksort import (QuicksortParams,
+                                                 build_quicksort)
+
+        params = QuicksortParams(n=2, addr_width=3, data_width=3,
+                                 stack_addr_width=3)
+        diameters = {
+            enc: forward_recurrence_diameter(
+                build_quicksort(params), max_depth=40,
+                options=BmcOptions(emm_encoding=enc))
+            for enc in ("hybrid", "paper", "gates")}
+        assert diameters["hybrid"] is not None
+        assert len(set(diameters.values())) == 1, diameters
+
 
 class TestThreeWayOnMemories:
     """EMM, explicit-BMC and BDD (on the expansion) against each other."""

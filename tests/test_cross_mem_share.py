@@ -1,4 +1,4 @@
-"""Cross-memory comparator sharing (``BmcOptions.emm_cross_mem_share``).
+"""Cross-memory comparator sharing (``hybrid`` and ``gates`` encodings).
 
 The session-scoped :class:`repro.emm.addrcmp.SharedComparatorTables`
 registry lets two memories whose address cones lower to the same SAT
@@ -7,7 +7,8 @@ multi-labels: a hit joins the calling memory's label onto the entry's
 clauses, so an unsat core through a shared comparator names *both*
 memories.  These tests pin the registry mechanics, the label joining,
 the PBA attribution end to end, and the booking-class isolation of the
-race monitor.
+race monitor.  End to end, the sharing encodings are compared with the
+``paper`` encoding, whose fresh comparators share nothing.
 """
 
 import pytest
@@ -15,8 +16,11 @@ import pytest
 from repro.aig import Aig, CnfEmitter
 from repro.bmc import BmcOptions, verify
 from repro.bmc.engine import BmcEngine
+from repro.bmc.unroller import Unroller
 from repro.design import Design
-from repro.emm import AddrComparator, EmmCounters, SharedComparatorTables
+from repro.emm import (AddrComparator, EmmCounters, EmmMemory,
+                       SharedComparatorTables)
+from repro.emm.gates import GateEmmMemory
 from repro.sat import Solver
 
 
@@ -130,6 +134,20 @@ class TestRegistry:
         assert cb.cross_mem_cmp_hits == 0
 
 
+def encode_two_mems(design, encoding, registry, depth=6):
+    """Solver clauses+vars of both memories' EMM frames to ``depth``."""
+    solver = Solver(proof=False)
+    unroller = Unroller(design, CnfEmitter(Aig(), solver))
+    cls = GateEmmMemory if encoding == "gates" else EmmMemory
+    emms = [cls(solver, unroller, name, cmp_registry=registry)
+            for name in ("ma", "mb")]
+    for k in range(depth + 1):
+        unroller.add_frame()
+        for emm in emms:
+            emm.add_frame(k)
+    return solver.num_clauses + solver.num_vars
+
+
 class TestEndToEnd:
     # The gate encoding's AIG side already strash-shares across
     # memories; its CNF comparators only appear on eq-(6) paths, so it
@@ -139,59 +157,56 @@ class TestEndToEnd:
                                                ("gates", None)])
     def test_sharing_shrinks_the_encoding(self, encoding, init):
         d = two_mem_design(init=init)
-        sizes, statuses = {}, {}
-        for share in (True, False):
-            r = verify(d, "agree",
-                       BmcOptions(max_depth=6, find_proof=(init is None),
-                                  emm_encoding=encoding,
-                                  emm_cross_mem_share=share))
-            sizes[share] = r.stats.sat_clauses + r.stats.sat_vars
-            statuses[share] = (r.status, r.depth)
-            if share:
-                assert r.stats.cross_mem_cmp_hits > 0
-            else:
-                assert r.stats.cross_mem_cmp_hits == 0
-        assert statuses[True] == statuses[False]
-        assert sizes[True] < sizes[False]
+        opts = [BmcOptions(max_depth=6, find_proof=(init is None),
+                           emm_encoding=enc) for enc in (encoding, "paper")]
+        on, off = (verify(d, "agree", o) for o in opts)
+        assert (on.status, on.depth) == (off.status, off.depth)
+        assert on.stats.cross_mem_cmp_hits > 0
+        assert off.stats.cross_mem_cmp_hits == 0
+        # Size: the same encoding with and without the session registry.
+        shared = encode_two_mems(d, encoding, SharedComparatorTables())
+        private = encode_two_mems(d, encoding, None)
+        assert shared < private
 
     def test_verdict_and_trace_parity(self):
         d = two_mem_design(same_cones=False)
-        results = [verify(d, "differ",
-                          BmcOptions(max_depth=6, emm_cross_mem_share=s))
-                   for s in (True, False)]
-        on, off = results
+        on, off = (verify(d, "differ",
+                          BmcOptions(max_depth=6, emm_encoding=enc))
+                   for enc in ("hybrid", "paper"))
         assert on.status == off.status
         assert on.depth == off.depth
         assert on.trace_validated == off.trace_validated
 
     def test_pba_core_names_both_memories(self):
         """The headline regression: a PBA core through a comparator both
-        memories share must attribute it to both — under per-memory
-        scoping it trivially did, under cross-memory sharing only the
-        label joining makes it so."""
+        memories share must attribute it to both — with the paper
+        encoding's fresh comparators it trivially does, under
+        cross-memory sharing only the label joining makes it so."""
         d = two_mem_design()
-        for share in (True, False):
+        for enc in ("hybrid", "paper"):
             opts = BmcOptions(max_depth=6, pba=True, find_proof=False,
-                              emm_cross_mem_share=share)
+                              emm_encoding=enc)
             eng = BmcEngine(d, "agree", opts)
             r = eng.run()
             assert r.status == "bounded"
-            assert r.memory_reasons, (share, "no PBA reasons collected")
-            assert r.memory_reasons[-1] == frozenset({"ma", "mb"}), share
+            assert r.memory_reasons, (enc, "no PBA reasons collected")
+            assert r.memory_reasons[-1] == frozenset({"ma", "mb"}), enc
             assert r.stats.core_unlabeled == 0
 
     def test_encoding_key_distinguishes_share(self):
-        on = BmcOptions(emm_cross_mem_share=True)
-        off = BmcOptions(emm_cross_mem_share=False)
-        assert on.encoding_key() != off.encoding_key()
+        """Sharing and non-sharing sessions are never cache-aliased."""
+        keys = {BmcOptions(emm_encoding=enc).encoding_key()
+                for enc in ("hybrid", "paper", "gates")}
+        assert len(keys) == 3
 
     def test_session_registry_gated_on_dedup(self):
+        """A registry exists exactly for the deduplicating encodings."""
         from repro.bmc.session import EncodingSession
 
         d = two_mem_design()
-        with_dedup = EncodingSession(d, BmcOptions())
-        no_dedup = EncodingSession(d, BmcOptions(emm_addr_dedup=False))
-        no_share = EncodingSession(d, BmcOptions(emm_cross_mem_share=False))
-        assert with_dedup.cmp_registry is not None
-        assert no_dedup.cmp_registry is None
-        assert no_share.cmp_registry is None
+        hybrid = EncodingSession(d, BmcOptions())
+        gates = EncodingSession(d, BmcOptions(emm_encoding="gates"))
+        paper = EncodingSession(d, BmcOptions(emm_encoding="paper"))
+        assert hybrid.cmp_registry is not None
+        assert gates.cmp_registry is not None
+        assert paper.cmp_registry is None

@@ -1,9 +1,10 @@
-"""Differential harness over the full encoder/option matrix.
+"""Differential harness over the three EMM encodings.
 
 One harness instead of per-feature one-off tests (the modular-
-verification argument of RealityCheck, PAPERS.md): every encoder/option
-combination — {hybrid, gates} x {strash, addr_dedup, chain_share}
-on/off — is run on the same workloads and cross-checked
+verification argument of RealityCheck, PAPERS.md): every EMM encoding —
+``hybrid`` (the default, every size optimisation on), ``paper`` (the raw
+closed-form CNF) and ``gates`` (the purely circuit-based one) — is run
+on the same workloads and cross-checked
 
 * against the **explicit-model oracle**: the design with its memories
   expanded into registers (``repro.design.explicit.expand_memories``)
@@ -11,18 +12,17 @@ on/off — is run on the same workloads and cross-checked
   exactly comparable across models, so verdicts, counterexample depths
   and trace validity must coincide at every depth;
 * against **each other** under induction + PBA: proof statuses, depths,
-  methods, and the accumulated latch/memory reason sets must be
-  identical across all option combinations of an encoding — options are
-  size optimisations and must be invisible to every observable outcome.
+  methods, and the accumulated latch/memory reason sets of ``hybrid``
+  and ``gates`` must be identical to the ``paper`` encoding's — the
+  size optimisations must be invisible to every observable outcome.
 
 Workloads are randomized small netlists (multi-port, recurring address
-cones, known/symbolic init — the shapes every option path bites on)
-plus the fifo/stack/cache case studies at shallow depth.  The expensive
-corners (the full 2^4 option cross-product, the deeper case-study
-sweeps) are marked ``slow`` for the nightly job.
+cones, known/symbolic init — the shapes every optimisation bites on)
+plus the fifo/stack/cache case studies at shallow depth.  More seeds
+and the deeper case-study sweeps are marked ``slow`` for the nightly
+job.
 """
 
-import itertools
 import random
 
 import pytest
@@ -34,29 +34,8 @@ from repro.casestudies.stack_machine import StackMachineParams, build_stack_mach
 from repro.design import Design, build_miter, expand_memories
 from repro.sim import Stimulus, default_oracle
 
-#: The option axes of the matrix, as BmcOptions kwargs.  The raw hybrid
-#: CNF back-end (``emm_hybrid_strash=False``) is retired from the
-#: default axes — the AIG-routed chain has been the production path
-#: since PR 5 — and survives as the explicit paper-exact ablation combo
-#: below plus the nightly full matrix.
-OPTION_AXES = ("strash", "emm_addr_dedup", "emm_chain_share")
-
-#: Paper-exact ablation: everything on but the hybrid chain emitted as
-#: raw per-frame CNF (the closed-form accounting baseline).
-RAW_HYBRID_ABLATION = dict(dict.fromkeys(OPTION_AXES, True),
-                           emm_hybrid_strash=False)
-
-#: Representative sub-matrix for per-push runs: everything on,
-#: everything off, each axis toggled off alone, and the raw-hybrid
-#: ablation.  The full cross-product (including the retired
-#: ``emm_hybrid_strash`` axis) runs nightly (`slow`).
-REPRESENTATIVE = [dict.fromkeys(OPTION_AXES, True),
-                  dict.fromkeys(OPTION_AXES, False)] + [
-    {axis: (axis != off) for axis in OPTION_AXES} for off in OPTION_AXES
-] + [RAW_HYBRID_ABLATION]
-
-FULL_MATRIX = [dict(zip(OPTION_AXES + ("emm_hybrid_strash",), bits))
-               for bits in itertools.product((True, False), repeat=4)]
+#: Every EMM encoding (``BmcOptions.emm_encoding``).
+ENCODINGS = ("hybrid", "paper", "gates")
 
 
 def random_netlist(seed):
@@ -116,15 +95,10 @@ def falsify(design, prop, depth, **options):
                   BmcOptions(find_proof=False, max_depth=depth, **options))
 
 
-def run_matrix(design, prop, depth, combos):
-    """Bounded falsification of every (encoding, combo) pair."""
-    out = {}
-    for encoding in ("hybrid", "gates"):
-        for combo in combos:
-            key = (encoding,) + tuple(sorted(combo.items()))
-            out[key] = falsify(design, prop, depth,
-                               emm_encoding=encoding, **combo)
-    return out
+def run_matrix(design, prop, depth):
+    """Bounded falsification under every encoding."""
+    return {encoding: falsify(design, prop, depth, emm_encoding=encoding)
+            for encoding in ENCODINGS}
 
 
 def assert_oracle_parity(results, oracle, ctx, design=None, prop=None):
@@ -149,7 +123,7 @@ def assert_oracle_parity(results, oracle, ctx, design=None, prop=None):
 
 
 # ---------------------------------------------------------------------------
-# Randomized netlists vs the explicit oracle (representative sub-matrix).
+# Randomized netlists vs the explicit oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -158,23 +132,23 @@ def test_random_netlists_match_explicit_oracle(seed):
     design, prop = random_netlist(seed)
     depth = 4
     oracle = falsify(expand_memories(design), prop, depth, use_emm=False)
-    results = run_matrix(design, prop, depth, REPRESENTATIVE)
+    results = run_matrix(design, prop, depth)
     assert_oracle_parity(results, oracle, seed, design=design, prop=prop)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(6, 14))
 def test_random_netlists_full_matrix_nightly(seed):
-    """The full 2^4 option cross-product per encoding (nightly)."""
+    """More seeds, one frame deeper (nightly)."""
     design, prop = random_netlist(seed)
     depth = 5
     oracle = falsify(expand_memories(design), prop, depth, use_emm=False)
-    results = run_matrix(design, prop, depth, FULL_MATRIX)
+    results = run_matrix(design, prop, depth)
     assert_oracle_parity(results, oracle, seed, design=design, prop=prop)
 
 
 # ---------------------------------------------------------------------------
-# Two-memory miters: cross-memory comparator sharing on/off.
+# Two-memory miters: cross-memory comparator sharing vs none.
 # ---------------------------------------------------------------------------
 
 
@@ -193,20 +167,13 @@ def miter_netlist(seed, twist=False):
     return build_miter(a, b, [(ra, rb)])
 
 
-#: Everything-on combos with the cross-memory registry toggled — the
-#: sharing must be invisible to every observable outcome.
-CROSS_MEM_COMBOS = [dict(dict.fromkeys(OPTION_AXES, True),
-                         emm_cross_mem_share=share)
-                    for share in (True, False)]
-
-
 @pytest.mark.parametrize("twist", [False, True], ids=["same", "twist"])
 @pytest.mark.parametrize("seed", range(4))
 def test_two_memory_miters_match_explicit_oracle(seed, twist):
     design = miter_netlist(seed, twist)
     depth = 4
     oracle = falsify(expand_memories(design), "equiv", depth, use_emm=False)
-    results = run_matrix(design, "equiv", depth, CROSS_MEM_COMBOS)
+    results = run_matrix(design, "equiv", depth)
     assert_oracle_parity(results, oracle, (seed, twist), design=design,
                          prop="equiv")
 
@@ -215,45 +182,41 @@ def test_two_memory_miters_match_explicit_oracle(seed, twist):
 @pytest.mark.parametrize("seed", [0, 2])
 def test_miter_pba_reasons_invariant_across_share(seed, encoding):
     """PBA latch/memory reasons must not depend on whether comparator
-    clauses were shared across the miter's memory copies — the
-    multi-label joining is exactly what keeps the shared clause
-    attributed to both memories."""
+    clauses were shared across the miter's memory copies (``paper``
+    shares nothing) — the multi-label joining is exactly what keeps the
+    shared clause attributed to both memories."""
     design = miter_netlist(seed)
-    runs = prove_matrix(design, "equiv", 4, encoding, CROSS_MEM_COMBOS)
+    runs = prove_matrix(design, "equiv", 4, encoding)
     assert_observable_parity(runs, (seed, encoding))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(4, 8))
 def test_two_memory_miters_full_matrix_nightly(seed):
-    """Nightly row: the full option cross-product x share on/off."""
+    """Nightly row: more miter seeds, one frame deeper."""
     design = miter_netlist(seed)
     depth = 5
     oracle = falsify(expand_memories(design), "equiv", depth, use_emm=False)
-    combos = [dict(c, emm_cross_mem_share=share)
-              for c in FULL_MATRIX for share in (True, False)]
-    results = run_matrix(design, "equiv", depth, combos)
+    results = run_matrix(design, "equiv", depth)
     assert_oracle_parity(results, oracle, seed, design=design, prop="equiv")
 
 
 # ---------------------------------------------------------------------------
-# Induction + PBA: options must be invisible within an encoding.
+# Induction + PBA: the optimised encodings must match the paper one.
 # ---------------------------------------------------------------------------
 
 
-def prove_matrix(design, prop, depth, encoding, combos):
-    out = []
-    for combo in combos:
-        out.append((combo, verify(design, prop, BmcOptions(
-            find_proof=True, pba=True, max_depth=depth,
-            emm_encoding=encoding, **combo))))
-    return out
+def prove_matrix(design, prop, depth, encoding):
+    """Induction + PBA runs of ``paper`` (the reference) and ``encoding``."""
+    return [(enc, verify(design, prop, BmcOptions(
+        find_proof=True, pba=True, max_depth=depth, emm_encoding=enc)))
+        for enc in ("paper", encoding)]
 
 
 def assert_observable_parity(runs, ctx):
-    (ref_combo, ref), rest = runs[0], runs[1:]
-    for combo, r in rest:
-        c = (ctx, ref_combo, combo)
+    (ref_enc, ref), rest = runs[0], runs[1:]
+    for enc, r in rest:
+        c = (ctx, ref_enc, enc)
         assert r.status == ref.status, (c, r.status, ref.status)
         assert r.depth == ref.depth, c
         assert r.method == ref.method, c
@@ -266,7 +229,7 @@ def assert_observable_parity(runs, ctx):
 @pytest.mark.parametrize("seed", [1, 3, 5])
 def test_pba_reasons_invariant_across_options(seed, encoding):
     design, prop = random_netlist(seed)
-    runs = prove_matrix(design, prop, 4, encoding, REPRESENTATIVE)
+    runs = prove_matrix(design, prop, 4, encoding)
     assert_observable_parity(runs, (seed, encoding))
 
 
@@ -275,7 +238,7 @@ def test_pba_reasons_invariant_across_options(seed, encoding):
 @pytest.mark.parametrize("seed", [0, 2, 4])
 def test_pba_reasons_full_matrix_nightly(seed, encoding):
     design, prop = random_netlist(seed)
-    runs = prove_matrix(design, prop, 4, encoding, FULL_MATRIX)
+    runs = prove_matrix(design, prop, 4, encoding)
     assert_observable_parity(runs, (seed, encoding))
 
 
@@ -358,9 +321,7 @@ CASE_STUDIES = [
 def test_case_studies_match_explicit_oracle(builder, prop, depth):
     design = builder()
     oracle = falsify(expand_memories(design), prop, depth, use_emm=False)
-    results = run_matrix(design, prop, depth,
-                         [dict.fromkeys(OPTION_AXES, True),
-                          dict.fromkeys(OPTION_AXES, False)])
+    results = run_matrix(design, prop, depth)
     assert_oracle_parity(results, oracle, prop, design=design, prop=prop)
 
 
@@ -368,9 +329,11 @@ def test_case_studies_match_explicit_oracle(builder, prop, depth):
 @pytest.mark.parametrize("builder,prop,depth", CASE_STUDIES,
                          ids=[f"{b.__name__}-{p}" for b, p, _ in CASE_STUDIES])
 def test_case_studies_representative_matrix_nightly(builder, prop, depth):
+    """The case studies two frames deeper (nightly)."""
     design = builder()
+    depth += 2
     oracle = falsify(expand_memories(design), prop, depth, use_emm=False)
-    results = run_matrix(design, prop, depth, REPRESENTATIVE)
+    results = run_matrix(design, prop, depth)
     assert_oracle_parity(results, oracle, prop)
 
 
@@ -392,7 +355,7 @@ def farm_failure_message(report):
 
 def test_fuzzfarm_smoke(tmp_path):
     """Per-push farm smoke: a small batch through the whole differential
-    (vector sim vs scalar vs explicit vs both BMC encodings)."""
+    (vector sim vs scalar vs explicit vs the three BMC encodings)."""
     from repro.sim.fuzzfarm import FarmConfig, run_farm
 
     report = run_farm(FarmConfig(batch=32, depth=4, seed=0, rounds=2,
@@ -404,7 +367,7 @@ def test_fuzzfarm_smoke(tmp_path):
 
 @pytest.mark.slow
 def test_fuzzfarm_mass_trials_nightly(tmp_path):
-    """The nightly farm config: >= 1000 netlist x option x stimulus
+    """The nightly farm config: >= 1000 netlist x encoding x stimulus
     trials, seed-budgeted, with auto-shrunk reproducers persisted for
     the CI artifact upload on failure."""
     from repro.sim.fuzzfarm import FarmConfig, run_farm

@@ -3,11 +3,12 @@
 Section 3 and 4.1 give closed-form clause/gate counts; these tests assert
 the constraint generator emits *exactly* those numbers, which is the
 strongest evidence the encoding is the paper's encoding.  The closed
-forms describe the hand-written CNF back-end, so :func:`run_frames` pins
-``hybrid_strash=False``; the AIG-routed default is covered by its own
-accounting regressions at the bottom (guard/prune counts, the per-frame
-plateau and the closed-form upper bounds of
-``accounting.hybrid_chain_clauses_per_read_port``).
+forms describe the hand-written CNF of the ``paper`` encoding, so
+:func:`run_frames` defaults to ``paper=True``; comparator dedup and
+folding run on the default encoding (``paper=False``), and the
+AIG-routed default is covered by its own accounting regressions at the
+bottom (guard/prune counts, the per-frame plateau and the closed-form
+upper bounds of ``accounting.hybrid_chain_clauses_per_read_port``).
 """
 
 import pytest
@@ -37,9 +38,10 @@ def make_port_design(aw, dw, r_ports, w_ports, init=0):
 
 
 def run_frames(design, depth, **emm_kwargs):
-    # The paper's closed forms count the raw-CNF back-end; the AIG-routed
-    # default books chain gates/triples instead (tested separately below).
-    emm_kwargs.setdefault("hybrid_strash", False)
+    # The paper's closed forms count the raw-CNF ``paper`` encoding; the
+    # AIG-routed default books chain gates/triples instead (tested
+    # separately below).
+    emm_kwargs.setdefault("paper", True)
     solver = Solver(proof=False)
     emitter = CnfEmitter(Aig(), solver)
     unroller = Unroller(design, emitter)
@@ -140,7 +142,7 @@ def test_pure_gate_formula():
     assert accounting.pure_gate_single_port(5, 10, 32) == (40 + 64 + 2) * 5 + 32
 
 
-# -- comparator dedup: the closed forms become upper bounds ---------------
+# -- comparator dedup (default encoding): the closed forms become upper bounds
 
 def make_recurring_design(aw=3, dw=4):
     """Two read ports sharing one address cone + one constant-address port."""
@@ -163,7 +165,7 @@ def test_repeated_addresses_produce_cache_hits():
     """Port 1 duplicates port 0's cone: its k comparisons per frame all hit;
     port 2's constant address repeats across frames: k-1 hits per frame."""
     depth = 4
-    emm = run_frames(make_recurring_design(), depth)
+    emm = run_frames(make_recurring_design(), depth, paper=False)
     c = emm.counters
     dup_hits = sum(k for k in range(depth + 1))          # port 1 vs port 0
     const_hits = sum(k - 1 for k in range(1, depth + 1))  # port 2 cross-frame
@@ -183,7 +185,7 @@ def test_constant_addresses_produce_folds():
     mem.read(1).connect(addr=d.const(2, 3), en=1)  # never equal: FALSE
     d.invariant("p", mem.read(0).data.ule(3))
     depth = 3
-    emm = run_frames(d, depth)
+    emm = run_frames(d, depth, paper=False)
     c = emm.counters
     # Every (read, write-pair) comparison is const-vs-const: zero
     # comparator clauses.  Each of the two distinct constant pairs folds
@@ -206,13 +208,13 @@ def test_const_vs_symbolic_uses_short_form():
                          en=d.input("we", 1))
     mem.read(0).connect(addr=d.const(9, aw), en=1)
     d.invariant("p", mem.read(0).data.ule(3))
-    emm = run_frames(d, 1)  # depth 1: exactly one fresh comparison
+    emm = run_frames(d, 1, paper=False)  # depth 1: one fresh comparison
     c = emm.counters
     assert c.addr_eq_clauses == accounting.addr_eq_clauses_const(aw)
     assert c.addr_eq_cache_hits == 0
 
 
-# -- AIG-routed hybrid back-end (hybrid_strash): accounting regressions ---
+# -- AIG-routed default back-end: accounting regressions -----------------
 
 
 def make_const_pair_design(aw=3, dw=3):
@@ -231,19 +233,21 @@ def make_const_pair_design(aw=3, dw=3):
 
 class TestHybridStrashAccounting:
     """Satellite regressions: the init-consistency guard/prune counters
-    must be exact and backend-independent, and the AIG-routed counters
-    must reconcile with the clauses that really reached the solver (no
-    double-booking through ``EmmCounters.frame_delta``)."""
+    must be exact and backend-independent — the AIG-routed chain
+    (``exclusivity=True``) and the raw chain the ``exclusivity=False``
+    ablation keeps share the record machinery — and the AIG-routed
+    counters must reconcile with the clauses that really reached the
+    solver (no double-booking through ``EmmCounters.frame_delta``)."""
 
-    @pytest.mark.parametrize("hybrid_strash", [True, False])
+    @pytest.mark.parametrize("routed", [True, False])
     @pytest.mark.parametrize("depth", [1, 4, 7])
-    def test_guard_and_prune_counts_exact(self, depth, hybrid_strash):
+    def test_guard_and_prune_counts_exact(self, depth, routed):
         """Two constant-address reads, depth d: two founding records
         (one guard clause each), every later read merges (one guard
         clause each, 2d total), and exactly the one cross-address
         eq-(6) pair is pruned on its folded-FALSE comparator."""
-        emm = run_frames(make_const_pair_design(), depth,
-                         hybrid_strash=hybrid_strash)
+        emm = run_frames(make_const_pair_design(), depth, paper=False,
+                         exclusivity=routed)
         c = emm.counters
         assert c.init_records_merged == 2 * depth
         assert c.init_guard_clauses == 2 + 2 * depth
@@ -253,16 +257,17 @@ class TestHybridStrashAccounting:
     def test_backends_agree_on_init_counters(self):
         """The init machinery is shared code: pins, guards, merges and
         prunes must book identically under both chain back-ends."""
-        on = run_frames(make_const_pair_design(), 5, hybrid_strash=True)
-        off = run_frames(make_const_pair_design(), 5, hybrid_strash=False)
+        on = run_frames(make_const_pair_design(), 5, paper=False)
+        off = run_frames(make_const_pair_design(), 5, paper=False,
+                         exclusivity=False)
         for key in ("init_guard_clauses", "init_pairs_pruned",
                     "init_records_merged", "init_pin_clauses",
                     "init_addr_eq_clauses", "init_consistency_clauses",
                     "init_pairs"):
             assert getattr(on.counters, key) == getattr(off.counters, key), key
 
-    @pytest.mark.parametrize("chain_share", [True, False])
-    def test_total_clauses_not_double_counted(self, chain_share):
+    @pytest.mark.parametrize("init_consistency", [True, False])
+    def test_total_clauses_not_double_counted(self, init_consistency):
         """The counters reconcile with the clauses the EMM frames really
         added to the solver: booked == added + absorbed.  The single
         unbooked clause is the emitter's shared always-true unit
@@ -272,8 +277,8 @@ class TestHybridStrashAccounting:
         solver = Solver(proof=False)
         emitter = CnfEmitter(Aig(), solver)
         unroller = Unroller(make_const_pair_design(), emitter)
-        emm = EmmMemory(solver, unroller, "m", hybrid_strash=True,
-                        chain_share=chain_share)
+        emm = EmmMemory(solver, unroller, "m",
+                        init_consistency=init_consistency)
         emm_added = 0
         for k in range(6):
             unroller.add_frame()
@@ -288,11 +293,11 @@ class TestHybridStrashAccounting:
     def test_per_frame_clauses_plateau_within_closed_form(self):
         """Constant-address reads: per-frame new EMM clauses become a
         constant bounded by the closed-form upper bound (two read
-        ports), while the raw back-end's per-frame clauses keep
+        ports), while the paper encoding's per-frame clauses keep
         growing."""
         depth = 10
-        on = run_frames(make_const_pair_design(), depth, hybrid_strash=True)
-        off = run_frames(make_const_pair_design(), depth, hybrid_strash=False)
+        on = run_frames(make_const_pair_design(), depth, paper=False)
+        off = run_frames(make_const_pair_design(), depth)
         cls_on = [f["clauses"] for f in on.counters.per_frame]
         cls_off = [f["clauses"] for f in off.counters.per_frame]
         tail = cls_on[3:]
@@ -309,7 +314,7 @@ class TestHybridStrashAccounting:
         address cones (where the closed form is tightest)."""
         depth = 5
         design = make_port_design(3, 4, r_ports=1, w_ports=2, init=None)
-        emm = run_frames(design, depth, hybrid_strash=True,
+        emm = run_frames(design, depth, paper=False,
                          init_consistency=False)
         for k, frame in enumerate(emm.counters.per_frame):
             bound = accounting.hybrid_chain_clauses_per_read_port(k, 2, 3, 4)
@@ -317,10 +322,11 @@ class TestHybridStrashAccounting:
 
 
 def test_dedup_off_reproduces_paper_counts_on_recurring_design():
-    """With addr_dedup=False the recurring workload pays full price."""
+    """The paper encoding's fresh comparators pay full price on the
+    recurring workload."""
     depth = 3
-    on = run_frames(make_recurring_design(), depth)
-    off = run_frames(make_recurring_design(), depth, addr_dedup=False)
+    on = run_frames(make_recurring_design(), depth, paper=False)
+    off = run_frames(make_recurring_design(), depth)
     assert off.counters.addr_eq_cache_hits == 0
     assert off.counters.addr_eq_folded == 0
     # Off books the closed-form 4m+1 per pair: 3 ports x k pairs at depth k.

@@ -74,12 +74,12 @@ def build_recurring_design(aw, dw, n_write, const_addr):
     return d
 
 
-def solve_pinned(design, depth, stimulus, addr_dedup):
+def solve_pinned(design, depth, stimulus, paper):
     """Unroll + EMM-constrain, pin the stimulus, return (solver pieces)."""
     solver = Solver(proof=False)
     emitter = CnfEmitter(Aig(), solver)
     un = Unroller(design, emitter)
-    emm = EmmMemory(solver, un, "m", addr_dedup=addr_dedup)
+    emm = EmmMemory(solver, un, "m", paper=paper)
     for k in range(depth + 1):
         un.add_frame()
         emm.add_frame(k)
@@ -116,15 +116,16 @@ def recurring_workloads(draw):
 @settings(max_examples=40, deadline=None)
 @given(recurring_workloads())
 def test_cached_and_uncached_emm_agree_with_simulator(workload):
-    """Cached vs uncached runs read identical values, and both match the
-    reference simulator on every read port — the dedup layer must be
-    semantically invisible even at the bit level."""
+    """Cached (default) vs uncached (``paper``) runs read identical
+    values, and both match the reference simulator on every read port —
+    the dedup layer must be semantically invisible even at the bit
+    level."""
     aw, dw, depth, n_write, const_addr, stimulus = workload
     design = build_recurring_design(aw, dw, n_write, const_addr)
     runs = {}
     for dedup in (True, False):
         result, solver, emitter, un, emm = solve_pinned(
-            design, depth, stimulus, dedup)
+            design, depth, stimulus, paper=not dedup)
         assert result.sat
         reads = {}
         for port in range(3):

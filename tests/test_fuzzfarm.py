@@ -12,11 +12,10 @@ import json
 import pytest
 
 from repro.sim import fuzzfarm
-from repro.sim.fuzzfarm import (DEFAULT_COMBOS, Divergence, FarmConfig,
-                                FarmReport, build_fuzz_netlist,
-                                persist_divergences, random_stimulus,
-                                replay_reproducer, run_farm,
-                                shrink_stimulus)
+from repro.sim.fuzzfarm import (Divergence, FarmConfig, FarmReport,
+                                build_fuzz_netlist, persist_divergences,
+                                random_stimulus, replay_reproducer,
+                                run_farm, shrink_stimulus)
 from repro.sim.oracle import SimulatorOracle, Stimulus, default_oracle
 
 
@@ -56,7 +55,7 @@ class TestFarmRuns:
         assert report.ok
         assert report.rounds == 2
         assert report.sim_trials == 32
-        assert report.bmc_trials == len(DEFAULT_COMBOS) * 2 * 3 * 2
+        assert report.bmc_trials == len(FarmConfig.encodings) * 3 * 2
         assert report.trials > report.sim_trials + report.bmc_trials
         assert "0 divergences" in report.summary()
 
@@ -124,8 +123,7 @@ class TestShrinkStimulus:
 class TestReproducers:
     def test_bmc_kind_roundtrip(self, tmp_path):
         div = Divergence(kind="bmc-verdict", seed=2, detail="synthetic",
-                         prop="hit", encoding="hybrid",
-                         options=dict.fromkeys(fuzzfarm.OPTION_AXES, True))
+                         prop="hit", encoding="hybrid")
         paths = persist_divergences([div], str(tmp_path))
         assert len(paths) == 1
         # Healthy code: the synthetic BMC divergence does not reproduce.
@@ -143,7 +141,7 @@ class TestReproducers:
 
     def test_cli_replay(self, tmp_path, capsys):
         div = Divergence(kind="bmc-verdict", seed=1, detail="synthetic",
-                         prop="hit", encoding="gates", options={})
+                         prop="hit", encoding="gates")
         [path] = persist_divergences([div], str(tmp_path))
         assert fuzzfarm.main(["--replay", path]) == 0
         assert "no longer diverges" in capsys.readouterr().out

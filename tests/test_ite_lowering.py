@@ -17,13 +17,13 @@ from repro.aig.tseitin import CnfEmitter
 from repro.sat.solver import Solver
 
 
-def emit_mux(ite, strash=True):
-    aig = Aig(strash=strash)
+def emit_mux(ite):
+    aig = Aig()
     s = aig.new_input("s")
     t = aig.new_input("t")
     e = aig.new_input("e")
     solver = Solver(proof=False)
-    em = CnfEmitter(aig, solver, strash=strash, ite=ite)
+    em = CnfEmitter(aig, solver, ite=ite)
     out = em.sat_lit(aig.mux(s, t, e))
     return em, solver, out, [em.sat_lit(x) for x in (s, t, e)]
 
@@ -68,19 +68,25 @@ def test_xor_is_the_two_input_ite(ite):
                     lambda a, b: a != b)
 
 
+def aliased_inputs(em, lits):
+    """Fresh AIG inputs aliased to the SAT variables of ``lits``."""
+    return [em.aig_lit_for(em.sat_lit(x)) for x in lits]
+
+
 def test_ite_cache_shares_repeated_shapes():
-    """Two structurally distinct AIG muxes over the same fanins (only
-    possible unstrashed) must share one lowered ITE via the cache."""
-    aig = Aig(strash=False)
+    """Two structurally distinct AIG muxes lowering to the same SAT
+    fanins (the second over aliased inputs) must share one lowered ITE
+    via the cache."""
+    aig = Aig()
     s = aig.new_input("s")
     t = aig.new_input("t")
     e = aig.new_input("e")
-    m1 = aig.mux(s, t, e)
-    m2 = aig.mux(s, t, e)
-    assert m1 != m2  # unstrashed: distinct nodes
     solver = Solver(proof=False)
-    em = CnfEmitter(aig, solver, strash=True, ite=True)
+    em = CnfEmitter(aig, solver, ite=True)
+    m1 = aig.mux(s, t, e)
     o1 = em.sat_lit(m1)
+    m2 = aig.mux(*aliased_inputs(em, (s, t, e)))
+    assert m1 != m2  # distinct AIG nodes
     o2 = em.sat_lit(m2)
     assert o1 == o2
     assert em.ites_emitted == 1
@@ -90,16 +96,15 @@ def test_ite_cache_shares_repeated_shapes():
 
 def test_ite_cache_is_selector_polarity_blind():
     """ITE(!s, t, e) == ITE(s, e, t): the normalized cache key must hit."""
-    aig = Aig(strash=False)
+    aig = Aig()
     s = aig.new_input("s")
     t = aig.new_input("t")
     e = aig.new_input("e")
-    m1 = aig.mux(s, t, e)
-    m2 = aig.mux(s ^ 1, e, t)
     solver = Solver(proof=False)
-    em = CnfEmitter(aig, solver, strash=True, ite=True)
-    o1 = em.sat_lit(m1)
-    o2 = em.sat_lit(m2)
+    em = CnfEmitter(aig, solver, ite=True)
+    o1 = em.sat_lit(aig.mux(s, t, e))
+    s2, t2, e2 = aliased_inputs(em, (s, t, e))
+    o2 = em.sat_lit(aig.mux(s2 ^ 1, e2, t2))
     assert o1 == o2
     assert em.ites_emitted == 1
 

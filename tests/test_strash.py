@@ -4,12 +4,13 @@ Mirrors ``tests/test_addr_cache.py`` one layer down: hash-consing in
 :meth:`repro.aig.aig.Aig.and_gate` and the CNF-level gate-triple cache in
 :class:`repro.aig.tseitin.CnfEmitter` must be invisible to every
 observable verification outcome.  Randomized recurring-address designs
-are run through full BMC (induction + PBA) with ``strash`` on and off,
-and statuses, depths, trace validity and the PBA latch/memory reason
-sets must coincide while the strashed encoding stays strictly smaller.
-Separate tests pin exact gate counts for a small ``eq_word`` cone, the
-first-emitter-wins provenance rule for shared clause triples, and the
-comparator-aware exclusivity-chain pruning of the hybrid EMM encoder.
+are run through full BMC (induction + PBA) under the strash-built EMM
+encodings (``gates`` and the default ``hybrid``) and under the ``paper``
+encoding, whose EMM constraints are raw CNF with no hashing; statuses,
+depths, trace validity and the PBA latch/memory reason sets must
+coincide.  Separate tests pin exact gate counts for a small ``eq_word``
+cone, the first-emitter-wins provenance rule for shared clause triples,
+and the comparator-aware fold pruning of the hybrid EMM encoder.
 """
 
 import random
@@ -18,7 +19,6 @@ import pytest
 
 from repro.aig import Aig, CnfEmitter, FALSE, TRUE, evaluate
 from repro.aig import ops
-from repro.aig.eval import evaluate_word
 from repro.bmc import bmc3, verify
 from repro.bmc.unroller import Unroller
 from repro.design import Design
@@ -28,7 +28,7 @@ from repro.sat import Solver
 
 
 # ---------------------------------------------------------------------------
-# Aig.and_gate: folding, hashing, counters, and the unstrashed baseline.
+# Aig.and_gate: folding, hashing and counters.
 # ---------------------------------------------------------------------------
 
 
@@ -53,45 +53,33 @@ class TestAndGateStrash:
         assert g.num_ands == 1
         assert g.strash_hits == 1
 
-    def test_strash_off_mints_fresh_nodes(self):
-        g = Aig(strash=False)
-        a, b = g.new_input(), g.new_input()
-        n1 = g.and_gate(a, b)
-        n2 = g.and_gate(a, b)
-        n3 = g.and_gate(a, TRUE)
-        assert len({n1, n2, n3}) == 3
-        assert g.num_ands == 3
-        assert g.strash_hits == 0
-        assert g.strash_folds == 0
-        # The duplicate nodes still compute the same function.
-        for va in (False, True):
-            for vb in (False, True):
-                r = evaluate(g, {a: va, b: vb}, [n1, n2, n3])
-                assert r == [va and vb, va and vb, va]
-
-    def test_strash_property(self):
-        assert Aig().strash is True
-        assert Aig(strash=False).strash is False
-
     def test_modes_agree_on_word_ops(self):
+        """Strashed word ops compute the integer results, and both CNF
+        lowering modes (native ITE and plain triples) agree with the AIG
+        evaluation bit for bit."""
+        g = Aig()
+        a = ops.input_word(g, "a", 8)
+        b = ops.input_word(g, "b", 8)
+        outs = [ops.eq_word(g, a, b)]
+        outs += ops.add_word(g, a, b) + ops.mux_word(g, a[0], a, b)
+        lowered = []
+        for ite in (True, False):
+            solver = Solver(proof=False)
+            em = CnfEmitter(g, solver, ite=ite)
+            lits = [em.sat_lit(o) for o in outs]
+            lowered.append((solver, lits, em.sat_word(a + b)))
         rng = random.Random(7)
         for _ in range(20):
             va, vb = rng.randrange(256), rng.randrange(256)
-            outs = {}
-            for strash in (True, False):
-                g = Aig(strash=strash)
-                a = ops.input_word(g, "a", 8)
-                b = ops.input_word(g, "b", 8)
-                env = {bit: bool((va >> i) & 1) for i, bit in enumerate(a)}
-                env.update({bit: bool((vb >> i) & 1) for i, bit in enumerate(b)})
-                outs[strash] = (
-                    evaluate(g, env, [ops.eq_word(g, a, b)]),
-                    evaluate_word(g, env, ops.add_word(g, a, b)),
-                    evaluate_word(g, env, ops.mux_word(g, a[0], a, b)),
-                )
-            assert outs[True] == outs[False]
-            assert outs[True][0] == [va == vb]
-            assert outs[True][1] == (va + vb) & 0xFF
+            bits = [bool((va >> i) & 1) for i in range(8)]
+            bits += [bool((vb >> i) & 1) for i in range(8)]
+            want = evaluate(g, dict(zip(a + b, bits)), outs)
+            assert want[0] == (va == vb)
+            assert sum(bit << i for i, bit in enumerate(want[1:9])) == (va + vb) & 0xFF
+            for solver, lits, ins in lowered:
+                pins = [lit if bit else -lit for lit, bit in zip(ins, bits)]
+                assert solver.solve(pins).sat
+                assert [solver.model_value(lit) for lit in lits] == want
 
 
 class TestEqWordExactCounts:
@@ -101,8 +89,6 @@ class TestEqWordExactCounts:
     #: 3 AND nodes per per-bit IFF, plus 2 chain nodes (the TRUE seed of
     #: ``and_many`` folds into the first conjunct).
     STRASHED = 3 * WIDTH + 2
-    #: Without folding the chain seed costs a real node: 3 per bit + 3.
-    UNSTRASHED = 3 * WIDTH + 3
 
     def test_strash_on_builds_once(self):
         g = Aig()
@@ -116,58 +102,41 @@ class TestEqWordExactCounts:
         assert g.num_ands == self.STRASHED
         assert g.strash_hits == self.STRASHED
 
-    def test_strash_off_rebuilds(self):
-        g = Aig(strash=False)
-        a = ops.input_word(g, "a", self.WIDTH)
-        b = ops.input_word(g, "b", self.WIDTH)
-        e1 = ops.eq_word(g, a, b)
-        assert g.num_ands == self.UNSTRASHED
-        e2 = ops.eq_word(g, a, b)
-        assert e1 != e2
-        assert g.num_ands == 2 * self.UNSTRASHED
-
 
 # ---------------------------------------------------------------------------
 # CnfEmitter: gate-triple cache and first-emitter-wins provenance.
 # ---------------------------------------------------------------------------
 
 
-def emitter_pair(aig_strash, cnf_strash):
+def emitter_pair():
     solver = Solver(proof=True)
-    aig = Aig(strash=aig_strash)
-    em = CnfEmitter(aig, solver, strash=cnf_strash)
+    aig = Aig()
+    em = CnfEmitter(aig, solver)
     return solver, aig, em
+
+
+def aliased(em, word):
+    """Fresh AIG inputs aliased to the SAT variables of ``word``: cones
+    rebuilt over them are distinct AIG nodes with the same lowering."""
+    return [em.aig_lit_for(em.sat_lit(bit)) for bit in word]
 
 
 class TestCnfGateCache:
     def test_triple_cache_reuses_vars(self):
-        # AIG strash off so the two cones are distinct nodes; the CNF
-        # cache must still collapse them onto one variable set.
-        solver, aig, em = emitter_pair(False, True)
+        # The second cone is built over aliased inputs, so its AIG nodes
+        # are distinct; the CNF cache must still collapse them onto one
+        # variable set.
+        solver, aig, em = emitter_pair()
         a = ops.input_word(aig, "a", 3)
         b = ops.input_word(aig, "b", 3)
         v1 = em.sat_lit(ops.eq_word(aig, a, b))
         vars_after_first = solver.num_vars
         clauses_after_first = solver.num_clauses
-        v2 = em.sat_lit(ops.eq_word(aig, a, b))
+        v2 = em.sat_lit(ops.eq_word(aig, aliased(em, a), aliased(em, b)))
         assert v1 == v2
         assert solver.num_vars == vars_after_first
         assert solver.num_clauses == clauses_after_first
         assert em.strash_hits > 0
-
-    def test_no_cache_reemits(self):
-        solver, aig, em = emitter_pair(False, False)
-        a = ops.input_word(aig, "a", 3)
-        b = ops.input_word(aig, "b", 3)
-        v1 = em.sat_lit(ops.eq_word(aig, a, b))
-        gates_first = em.gates_emitted
-        v2 = em.sat_lit(ops.eq_word(aig, a, b))
-        assert v1 != v2
-        assert em.gates_emitted == 2 * gates_first
-        assert em.strash_hits == 0
-        # Both emissions are equisatisfiable copies: they cannot disagree.
-        assert solver.solve([v1, -v2]).sat is False
-        assert solver.solve([-v1, v2]).sat is False
 
     def test_first_emitter_wins_labels(self):
         """A shared triple keeps its first label; cores attribute it there.
@@ -178,12 +147,13 @@ class TestCnfGateCache:
         context — never the second.  That keeps PBA reason extraction
         sound: the labels it reads always belong to clauses that exist.
         """
-        solver, aig, em = emitter_pair(False, True)
+        solver, aig, em = emitter_pair()
         x, y = aig.new_input("x"), aig.new_input("y")
         em.set_label(("ctx", "A"))
         out_a = em.sat_lit(aig.and_gate(x, y))
         em.set_label(("ctx", "B"))
-        out_b = em.sat_lit(aig.and_gate(x, y))
+        x2, y2 = aliased(em, [x, y])
+        out_b = em.sat_lit(aig.and_gate(x2, y2))
         assert out_a == out_b  # shared triple
         em.add_clause([em.sat_lit(x)], ("unit", "x"))
         em.add_clause([em.sat_lit(y)], ("unit", "y"))
@@ -194,9 +164,9 @@ class TestCnfGateCache:
         assert ("ctx", "B") not in labels
 
     def test_default_modes_unchanged_behaviour(self):
-        # With AIG strashing on, node identity already dedups repeated
-        # cones, so the CNF cache never fires on a plain run.
-        solver, aig, em = emitter_pair(True, True)
+        # AIG node identity already dedups repeated cones, so the CNF
+        # cache never fires on a plain run.
+        solver, aig, em = emitter_pair()
         a = ops.input_word(aig, "a", 4)
         b = ops.input_word(aig, "b", 4)
         em.sat_lit(ops.eq_word(aig, a, b))
@@ -206,7 +176,7 @@ class TestCnfGateCache:
 
 
 # ---------------------------------------------------------------------------
-# Randomized cross-check: strash on/off must verify identically.
+# Randomized cross-check: strash-built EMM encodings vs the raw paper CNF.
 # ---------------------------------------------------------------------------
 
 
@@ -247,19 +217,7 @@ def random_recurring_design(rng):
     return d, "hit"
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_strash_is_invisible_to_gate_verification(seed):
-    """Gate encoding: verdicts, traces and PBA reasons match on/off."""
-    rng = random.Random(seed)
-    design, prop = random_recurring_design(rng)
-    results = {}
-    for strash in (True, False):
-        results[strash] = verify(
-            design,
-            prop,
-            bmc3(max_depth=4, emm_encoding="gates", strash=strash),
-        )
-    on, off = results[True], results[False]
+def assert_same_outcome(on, off, seed):
     assert on.status == off.status, (seed, on.status, off.status)
     assert on.depth == off.depth
     assert on.method == off.method
@@ -268,34 +226,43 @@ def test_strash_is_invisible_to_gate_verification(seed):
         assert on.trace_validated is True
     assert on.latch_reasons == off.latch_reasons
     assert on.memory_reasons == off.memory_reasons
-    # The strashed encoding is strictly smaller on recurring workloads.
-    assert on.stats.sat_vars < off.stats.sat_vars
-    assert on.stats.sat_clauses < off.stats.sat_clauses
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_strash_is_invisible_to_gate_verification(seed):
+    """Gate encoding (every EMM node hash-consed) vs the paper encoding
+    (raw CNF, nothing hashed): verdicts, traces and PBA reasons match."""
+    rng = random.Random(seed)
+    design, prop = random_recurring_design(rng)
+    on, off = (
+        verify(design, prop, bmc3(max_depth=4, emm_encoding=enc))
+        for enc in ("gates", "paper")
+    )
+    assert_same_outcome(on, off, seed)
     assert on.stats.strash_folds > 0
     if on.depth >= 2:  # a depth-0 cex ends the run before cones recur
         assert on.stats.strash_hits > 0
-    assert off.stats.strash_hits == 0
-    assert off.stats.strash_folds == 0
+    assert off.stats.emm_strash_hits == 0
+    assert off.stats.emm_strash_folds == 0
 
 
 @pytest.mark.parametrize("seed", [1, 4])
 def test_strash_is_invisible_to_hybrid_verification(seed):
-    """Hybrid encoding: same verdict parity; never larger with strash."""
+    """Hybrid encoding (AIG-routed chain) vs the paper encoding (raw
+    CNF chain): same verdict and PBA reason parity."""
     rng = random.Random(seed)
     design, prop = random_recurring_design(rng)
-    on = verify(design, prop, bmc3(max_depth=4, strash=True))
-    off = verify(design, prop, bmc3(max_depth=4, strash=False))
-    assert on.status == off.status
-    assert on.depth == off.depth
-    assert on.method == off.method
-    assert on.latch_reasons == off.latch_reasons
-    assert on.memory_reasons == off.memory_reasons
-    assert on.stats.sat_vars <= off.stats.sat_vars
-    assert on.stats.sat_clauses <= off.stats.sat_clauses
+    on = verify(design, prop, bmc3(max_depth=4))
+    off = verify(design, prop, bmc3(max_depth=4, emm_encoding="paper"))
+    assert_same_outcome(on, off, seed)
+    assert off.stats.emm_strash_hits == 0
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: >= 40% smaller gate-EMM encoding at depth >= 20.
+# Acceptance: the strashed gate-EMM encoding at depth 20.  Structural
+# hashing once cut it by >= 40% against an unstrashed build; hashing is
+# no longer optional, so the sizes the strashed build reached are pinned
+# as absolute ceilings instead.
 # ---------------------------------------------------------------------------
 
 
@@ -316,9 +283,9 @@ def recurring_bench_design(aw=4, dw=4):
     return d
 
 
-def build_gate_frames(design, depth, strash):
+def build_gate_frames(design, depth):
     solver = Solver(proof=False)
-    emitter = CnfEmitter(Aig(strash=strash), solver, strash=strash)
+    emitter = CnfEmitter(Aig(), solver)
     unroller = Unroller(design, emitter)
     emm = GateEmmMemory(solver, unroller, "m", init_consistency=False)
     for k in range(depth + 1):
@@ -327,18 +294,22 @@ def build_gate_frames(design, depth, strash):
     return solver, emm
 
 
+#: Solver clauses+vars of the strashed gate build at depth 20 (41,636
+#: unstrashed, a 42.8% cut, when the unstrashed mode still existed).
+GATE_FRAMES_DEPTH_20 = 23_820
+#: The same for the PBA run of ``deep_recurring_design`` (44,923
+#: unstrashed, a 67.8% cut).
+GATE_PBA_DEPTH_20 = 14_473
+
+
 def test_gate_emm_strash_cuts_40_percent_at_depth_20():
     depth = 20
     design = recurring_bench_design()
-    off_solver, off_emm = build_gate_frames(design, depth, strash=False)
-    on_solver, on_emm = build_gate_frames(design, depth, strash=True)
-    size_off = off_solver.num_clauses + off_solver.num_vars
+    on_solver, on_emm = build_gate_frames(design, depth)
     size_on = on_solver.num_clauses + on_solver.num_vars
-    drop = 1.0 - size_on / size_off
-    assert drop >= 0.40, f"strash saved only {drop:.1%} ({size_off} -> {size_on})"
+    assert size_on <= GATE_FRAMES_DEPTH_20, size_on
     assert on_emm.counters.strash_hits > 0
     assert on_emm.counters.strash_folds > 0
-    assert off_emm.counters.strash_hits == 0
     # Per-frame snapshots sum to the totals.
     assert (
         sum(f["strash_hits"] for f in on_emm.counters.per_frame)
@@ -372,46 +343,35 @@ def deep_recurring_design(aw=3, dw=2):
 
 
 def test_depth_20_verdict_and_pba_parity():
-    """Acceptance: at depth 20 the strashed gate encoding is >= 40%
-    smaller with identical verdicts and PBA reason sets."""
+    """Acceptance: at depth 20 the strashed gate encoding stays within
+    its pinned size with verdicts and PBA reason sets identical to the
+    paper encoding's."""
     from repro.bmc import BmcOptions
 
-    results = {}
-    for strash in (True, False):
-        results[strash] = verify(
+    on, off = (
+        verify(
             deep_recurring_design(),
             "three",
-            BmcOptions(
-                find_proof=False,
-                pba=True,
-                max_depth=20,
-                emm_encoding="gates",
-                strash=strash,
-            ),
+            BmcOptions(find_proof=False, pba=True, max_depth=20, emm_encoding=enc),
         )
-    on, off = results[True], results[False]
+        for enc in ("gates", "paper")
+    )
     assert on.status == off.status == "bounded"
     assert on.depth == off.depth == 20
     assert on.latch_reasons == off.latch_reasons
     assert on.memory_reasons == off.memory_reasons
     assert on.memory_reasons[-1] == frozenset({"m"})
     size_on = on.stats.sat_vars + on.stats.sat_clauses
-    size_off = off.stats.sat_vars + off.stats.sat_clauses
-    drop = 1.0 - size_on / size_off
-    assert drop >= 0.40, f"only {drop:.1%} ({size_off} -> {size_on})"
+    assert size_on <= GATE_PBA_DEPTH_20, size_on
     assert on.stats.strash_hits > 0
 
 
 # ---------------------------------------------------------------------------
-# Comparator-aware exclusivity chains (hybrid encoder fold pruning).
+# Comparator-aware fold pruning in the hybrid encoder.
 # ---------------------------------------------------------------------------
 
 
 def run_hybrid_frames(design, depth, **kw):
-    # These regressions pin the raw back-end's per-pair gate shapes
-    # (3 raw CNF gates per live pair); the AIG-routed default prunes the
-    # same folded pairs through ``and_gate`` and is asserted separately.
-    kw.setdefault("hybrid_strash", False)
     solver = Solver(proof=False)
     emitter = CnfEmitter(Aig(), solver)
     unroller = Unroller(design, emitter)
@@ -441,36 +401,40 @@ class TestExclusivityFoldPruning:
     def test_false_fold_skips_all_three_gates(self):
         """Read 1 vs write 2: every pair folds FALSE -> zero chain gates.
 
-        The unpruned encoding pays 3 gates per pair (s = E ∧ WE, the S
-        signal and the PS step), all driven by a constant-false E.
+        The paper encoding pays 3 gates per pair (s = E ∧ WE, the S
+        signal and the PS step), all driven by a fresh comparator.
         """
         depth = 4
         pairs = sum(k for k in range(depth + 1))
         on = run_hybrid_frames(const_addr_design(1, 2), depth).counters
-        off = run_hybrid_frames(
-            const_addr_design(1, 2), depth, addr_dedup=False
-        ).counters
+        off = run_hybrid_frames(const_addr_design(1, 2), depth, paper=True).counters
         assert on.excl_gates == 0
         assert off.excl_gates == 3 * pairs
         assert on.addr_eq_folded == 1  # one distinct comparison, cached after
         assert on.rd_clauses < off.rd_clauses  # dead pairs lose eq-(5) too
 
     def test_true_fold_reuses_write_enable(self):
-        """Read 5 vs write 5: E is constant TRUE, so s == WE (one gate
-        saved per pair, the chain keeps its 2 gates)."""
+        """Raw chain of the ``exclusivity=False`` ablation, read 5 vs
+        write 5: E is constant TRUE, so s == WE and each pair keeps only
+        its no-match AND (the paper encoding pays s = E ∧ WE too)."""
         depth = 4
         pairs = sum(k for k in range(depth + 1))
-        on = run_hybrid_frames(const_addr_design(5, 5), depth).counters
-        assert on.excl_gates == 2 * pairs
+        on = run_hybrid_frames(
+            const_addr_design(5, 5), depth, exclusivity=False
+        ).counters
+        off = run_hybrid_frames(
+            const_addr_design(5, 5), depth, exclusivity=False, paper=True
+        ).counters
+        assert on.excl_gates == pairs
+        assert off.excl_gates == 2 * pairs
 
     @pytest.mark.parametrize("read_addr,write_addr", [(1, 2), (5, 5)])
     def test_pruning_preserves_verdicts(self, read_addr, write_addr):
         d = const_addr_design(read_addr, write_addr)
-        results = [
-            verify(d, "hit", bmc3(max_depth=4, emm_addr_dedup=dedup))
-            for dedup in (True, False)
-        ]
-        on, off = results
+        on, off = (
+            verify(d, "hit", bmc3(max_depth=4, emm_encoding=enc))
+            for enc in ("hybrid", "paper")
+        )
         assert on.status == off.status
         assert on.depth == off.depth
         if on.trace is not None:
@@ -484,8 +448,7 @@ class TestExclusivityFoldPruning:
         """AIG back-end: a folded-FALSE comparator collapses the pair in
         ``and_gate``, so the whole chain (and its lowered CNF) vanishes —
         the routed equivalent of the raw back-end's dead-pair skip."""
-        on = run_hybrid_frames(const_addr_design(1, 2), 4,
-                               hybrid_strash=True).counters
+        on = run_hybrid_frames(const_addr_design(1, 2), 4).counters
         assert on.excl_gates == 0
         assert on.addr_eq_folded == 1
         assert on.addr_eq_clauses == 0
@@ -494,8 +457,7 @@ class TestExclusivityFoldPruning:
         """AIG back-end: a folded-TRUE comparator makes s the aliased
         write enable via constant folding (zero gates for the match
         signal; only the chain/mux structure remains)."""
-        on = run_hybrid_frames(const_addr_design(5, 5), 1,
-                               hybrid_strash=True).counters
+        on = run_hybrid_frames(const_addr_design(5, 5), 1).counters
         # Depth 1, one live pair, dw=2: the no-match and fall-through
         # ANDs fold into the aliased literals (RE is constant) and each
         # data-bit mux against the constant-0 init seed folds to the
