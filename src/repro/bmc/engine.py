@@ -6,9 +6,9 @@ activation literals (``a_init``, ``a_lfp``, ``a_meminit``).  The engine
 is the *scheduler* on top: it walks depths and runs the three checks of
 BMC-3 as assumption sets over the session's growing CNF:
 
-* forward termination   — assume ``[a_init, LFP_i]``                (line 6)
-* backward termination  — assume ``[LFP_i, P_0..P_{i-1}, !P_i]``    (line 7)
-* falsification         — assume ``[a_init, !P_i]``                 (line 9)
+* forward termination   — assume ``[a_init, a_meminit, LFP_i]``      (line 6)
+* backward termination  — assume ``[LFP_i, P_0..P_{i-1}, !P_i]``      (line 7)
+* falsification (base)  — assume ``[a_init, a_meminit, !P_i]``        (line 9)
 
 ``LFP_i`` is the list of *per-frame* loop-free-path guards for frames
 ``<= i`` (:meth:`EncodingSession.lfp_assumptions`) — never a global
@@ -178,7 +178,8 @@ class _RunState:
     depth-major :func:`verify_many` scheduler (one instance per engine)."""
 
     __slots__ = ("stats", "t_start", "deadline", "budget", "timers",
-                 "forward_memo", "quota_deadline")
+                 "forward_memo", "quota_deadline", "session_timers",
+                 "p_i", "depth_elapsed")
 
     def __init__(self, stats: BmcRunStats, t_start: float,
                  deadline: Optional[float], budget: Optional[int],
@@ -195,6 +196,14 @@ class _RunState:
         # it caps each solve, but tripping it degrades at the previous
         # depth instead of timing out at the attempted one.
         self.quota_deadline = quota_deadline
+        # Timers of work done once for every engine on a shared session
+        # (verify_many's per-depth encoding); reported in the profile's
+        # "session" block, never as this run's own phases.
+        self.session_timers: Optional[PhaseTimers] = None
+        # Handed from _step_checks to _step_base within one depth: the
+        # property literal P_i and the depth's own elapsed time so far.
+        self.p_i = 0
+        self.depth_elapsed = 0.0
 
     def solve_deadline(self) -> Optional[float]:
         if self.deadline is None:
@@ -311,7 +320,9 @@ class BmcEngine:
             tripped = self._quota_trip(rs)
             if tripped is not None:
                 return self._finish_degraded(rs, i - 1, tripped)
-            result = self._step_depth(rs, i)
+            result = self._step_checks(rs, i)
+            if result is None:
+                result = self._step_base(rs, i)
             if result is not None:
                 return result
             if stop_check is not None and stop_check(self, i):
@@ -371,9 +382,12 @@ class BmcEngine:
                                       else "conflicts")
         return r
 
-    def _step_depth(self, rs: _RunState, i: int) -> Optional[BmcResult]:
-        """Run one depth's checks.  Returns the final result if the run
-        concluded at this depth, else None (depth time recorded)."""
+    def _step_checks(self, rs: _RunState, i: int) -> Optional[BmcResult]:
+        """First half of one depth: encode frame ``i`` and this property's
+        ``P_i`` cone, then (with ``find_proof``) the forward and backward
+        termination checks.  Returns the final result if the run
+        concluded, else None with ``P_i`` and the depth's elapsed time
+        left on ``rs`` for :meth:`_step_base`."""
         opts = self.options
         session = self.session
         t_depth = time.monotonic()
@@ -410,12 +424,25 @@ class BmcEngine:
                 return self._abort(rs, i, t_depth)
             if not r.sat:
                 return self._finish(PROOF, i, rs, t_depth, method="backward")
-        r = self._solve(rs, [session.a_init, session.a_meminit, -p[i]])
+        rs.p_i = p[i]
+        rs.depth_elapsed = time.monotonic() - t_depth
+        return None
+
+    def _step_base(self, rs: _RunState, i: int) -> Optional[BmcResult]:
+        """Second half of one depth: the base (falsification) check
+        ``[a_init, a_meminit, !P_i]``, then PBA reason collection.
+        Returns the final result if the run concluded, else None (depth
+        time recorded)."""
+        session = self.session
+        # The depth's time counts this engine's own work only: on a
+        # shared session other engines' checks run between the halves.
+        t_depth = time.monotonic() - rs.depth_elapsed
+        r = self._solve(rs, [session.a_init, session.a_meminit, -rs.p_i])
         if r.unknown:
             return self._abort(rs, i, t_depth)
         if r.sat:
             return self._finish(CEX, i, rs, t_depth)
-        if opts.pba:
+        if self.options.pba:
             self._collect_reasons(i)
         # The depth's time is recorded exactly once: here for depths the
         # run continues past, inside _finish for early-return paths
@@ -507,6 +534,8 @@ class BmcEngine:
                 "phases": rs.timers.snapshot(),
                 "solver": solver_phase_times(stats.solver),
             }
+            if rs.session_timers is not None:
+                stats.profile["session"] = rs.session_timers.snapshot()
         trace = None
         validated = None
         if status == CEX:
@@ -554,9 +583,11 @@ def verify_many(design: Design, property_names=None,
 
     The scheduler is *depth-major*: at each depth the frame is encoded
     once and every still-live property's ``P_i`` cone is emitted before
-    any check runs, then each live engine steps its forward/backward/
-    falsification checks for that depth.  That ordering buys two solver-
-    level wins on top of the shared CNF:
+    any check runs.  The depth's checks are then *grouped by kind*:
+    every live engine runs its forward and backward termination checks
+    (:meth:`BmcEngine._step_checks`), then every engine still live runs
+    its base (falsification) check (:meth:`BmcEngine._step_base`).  Two
+    solver-level wins follow on top of the shared CNF:
 
     * **Forward-check memoization** — the forward termination check
       assumes only ``[a_init, a_meminit] + LFP_i`` and is property-
@@ -564,17 +595,27 @@ def verify_many(design: Design, property_names=None,
       and shared by every engine (``_begin_run``'s ``forward_memo``).
       The memo is local to this call: single-engine :meth:`BmcEngine.run`
       stays bit-identical to its historical behaviour.
-    * **Assumption-trail reuse** — because no clauses are added between
-      sibling checks at one depth, the fast solver back-end keeps the
-      propagated ``[a_init, a_meminit]`` assumption prefix (the whole
-      initial-state cone) assigned across consecutive falsification
-      checks instead of re-propagating it per property
-      (``SolverStats.trail_saved_levels``).
+    * **Assumption-trail reuse** — no clauses are added between checks
+      at one depth, so the fast solver back-end keeps the longest
+      assumption prefix shared with the previous solve assigned
+      (``SolverStats.trail_saved_levels``).  Grouping makes consecutive
+      solves share one: the backward checks ``LFP_i + P_0..P_{i-1} +
+      [!P_i]`` keep the ``LFP_i`` guard levels, and the base checks
+      ``[a_init, a_meminit, !P_i]`` keep the two initial-state levels
+      (the whole initial-state cone) instead of re-propagating them per
+      property.  Interleaving each engine's backward and base checks
+      would share no first assumption between consecutive solves.
+      Adding the next frame's clauses cancels the trail to level 0, so
+      no prefix survives from one depth to the next.
 
     Verdicts are identical to per-property :func:`verify` runs — checks
     are assumption sets, invisible to each other, and each engine still
     runs its own checks in the forward -> backward -> falsification
-    order.  ``property_names`` defaults to all properties, sorted.
+    order; each core's labels and each CEX are read right after their
+    own solve.  With ``profile`` on, the per-depth shared encoding is
+    timed once and reported on every result as the session-wide
+    ``profile["session"]["encode"]``.  ``property_names`` defaults to
+    all properties, sorted.
     """
     if session is None:
         session = EncodingSession(design, options)
@@ -589,11 +630,15 @@ def verify_many(design: Design, property_names=None,
     forward_memo: dict = {}
     states = {name: engines[name]._begin_run(forward_memo)
               for name in names}
+    session_timers = PhaseTimers() if opts.profile else None
+    for rs in states.values():
+        rs.session_timers = session_timers
     results: dict[str, BmcResult] = {}
     live = list(names)
     for i in range(0, opts.max_depth + 1):
         if not live:
             break
+        t_encode = time.perf_counter()
         try:
             session.extend_to(i, opts.clause_var_quota)
             for name in live:
@@ -609,6 +654,8 @@ def verify_many(design: Design, property_names=None,
                     states[name], i - 1, exc.kind)
                 live.remove(name)
             break
+        if session_timers is not None:
+            session_timers.add("encode", time.perf_counter() - t_encode)
         for name in list(live):
             engine = engines[name]
             rs = states[name]
@@ -616,7 +663,14 @@ def verify_many(design: Design, property_names=None,
             if tripped is not None:
                 result = engine._finish_degraded(rs, i - 1, tripped)
             else:
-                result = engine._step_depth(rs, i)
+                result = engine._step_checks(rs, i)
+            if result is not None:
+                results[name] = result
+                live.remove(name)
+        for name in list(live):
+            engine = engines[name]
+            rs = states[name]
+            result = engine._step_base(rs, i)
             if result is None and rs.deadline is not None \
                     and time.monotonic() > rs.deadline:
                 rs.stats.limit_tripped = "wall"

@@ -164,6 +164,10 @@ def _print_profile(profile: dict) -> None:
     for phase, rec in sorted(profile.get("phases", {}).items(),
                              key=lambda kv: -kv[1]["s"]):
         print(f"  profile {phase:<18s} {rec['s']:8.3f}s (n={rec['n']})")
+    # Work done once for every property on a shared session.
+    for phase, rec in sorted(profile.get("session", {}).items()):
+        print(f"  profile session.{phase:<10s} {rec['s']:8.3f}s "
+              f"(n={rec['n']})")
     for phase, secs in sorted(profile.get("solver", {}).items(),
                               key=lambda kv: -kv[1]):
         print(f"  profile solver.{phase:<11s} {secs:8.3f}s")

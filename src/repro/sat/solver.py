@@ -31,6 +31,12 @@ Two propagation back-ends share the search loop:
 Both back-ends produce identical verdicts, models satisfying the CNF,
 sound failed-assumption sets and proof-checkable cores; search order
 (and therefore the exact learned clauses and cores) may differ.
+
+Both back-ends read assignments from one literal-indexed value store,
+``_vals[ilit]`` (``_TRUE``, ``_FALSE`` or ``UNASSIGNED``): assigning a
+literal writes its slot TRUE and its complement's FALSE, so the hot
+loops test a literal with one list read instead of a variable lookup,
+a shift and a sign xor.
 """
 
 from __future__ import annotations
@@ -295,11 +301,15 @@ class Solver:
         #: :class:`SolverStats` (``time_*_s`` fields).  Off by default —
         #: flipped by the engine under ``BmcOptions.profile``.
         self.profile = False
+        # Literal values, indexed by internal literal: a variable's two
+        # slots are both UNASSIGNED, or one _TRUE and the other _FALSE.
+        self._vals: list[int] = [UNASSIGNED, UNASSIGNED]
         # Variable state (index 0 unused so var numbers match list index).
-        self._assigns: list[int] = [UNASSIGNED]
         self._levels: list[int] = [0]
         self._reasons: list[int] = [-1]
-        self._saved_phase: list[int] = [_FALSE]
+        #: Sign bit of each variable's last assigned literal (phase
+        #: saving); 1 (negative) until the variable is first assigned.
+        self._saved_sign: list[int] = [1]
         # Watches indexed by internal literal.  Baseline entries are bare
         # clause ids; fast entries are ``(cid, blocker)`` pairs.
         self._watches: list[list] = [[], []]
@@ -365,16 +375,17 @@ class Solver:
 
     def new_var(self) -> int:
         """Allocate and return a fresh variable (positive integer)."""
-        self._assigns.append(UNASSIGNED)
+        self._vals.append(UNASSIGNED)
+        self._vals.append(UNASSIGNED)
         self._levels.append(0)
         self._reasons.append(-1)
-        self._saved_phase.append(_FALSE)
+        self._saved_sign.append(1)
         self._watches.append([])
         self._watches.append([])
         self._bin_watches.append([])
         self._bin_watches.append([])
         self._seen.append(False)
-        var = len(self._assigns) - 1
+        var = len(self._levels) - 1
         if self._fast:
             self._queue.push_low(var)
         else:
@@ -385,7 +396,7 @@ class Solver:
 
     @property
     def num_vars(self) -> int:
-        return len(self._assigns) - 1
+        return len(self._levels) - 1
 
     @property
     def num_clauses(self) -> int:
@@ -413,8 +424,9 @@ class Solver:
         if self._broken:
             return -1
         ilits = [_to_internal(lt) for lt in lits]
+        nvars = self.num_vars
         for lt in ilits:
-            if not 1 <= (lt >> 1) <= self.num_vars:
+            if not 1 <= (lt >> 1) <= nvars:
                 raise ValueError(f"literal {_to_external(lt)} references unknown variable")
         if self._trail_lim:
             self._cancel_until(0)
@@ -424,8 +436,9 @@ class Solver:
         out: list[int] = []
         seen: set[int] = set()
         simplify_deps: list[int] = []
+        vals = self._vals
         for lt in ilits:
-            v = self._lit_value(lt)
+            v = vals[lt]
             if v == _TRUE or (lt ^ 1) in seen:
                 return -1  # clause already satisfied / tautology
             if lt in seen:
@@ -509,8 +522,9 @@ class Solver:
         self._last_failed = ()
         self._unsat_core_cids = None
         iassumps = [_to_internal(lt) for lt in assumptions]
+        nvars = self.num_vars
         for lt in iassumps:
-            if not 1 <= (lt >> 1) <= self.num_vars:
+            if not 1 <= (lt >> 1) <= nvars:
                 raise ValueError(f"assumption {_to_external(lt)} references unknown variable")
         prof = self.profile
         st = self.stats
@@ -623,7 +637,7 @@ class Solver:
             lvl = self._decision_level()
             if lvl < len(iassumps):
                 p = iassumps[lvl]
-                v = self._lit_value(p)
+                v = self._vals[p]
                 if v == _FALSE:
                     if prof:
                         st.time_decide_s += time.perf_counter() - t0
@@ -666,13 +680,14 @@ class Solver:
         Variables the search never assigned (possible for variables created
         but not constrained) read as False.
         """
-        return self._lit_value(_to_internal(lit)) == _TRUE
+        return self._vals[_to_internal(lit)] == _TRUE
 
     def model(self) -> dict[int, bool]:
         """Full model as ``{var: bool}`` for all assigned variables."""
         out = {}
+        vals = self._vals
         for var in range(1, self.num_vars + 1):
-            a = self._assigns[var]
+            a = vals[var << 1]
             if a != UNASSIGNED:
                 out[var] = a == _TRUE
         return out
@@ -808,12 +823,6 @@ class Solver:
         return SolveResult(sat=sat, failed_assumptions=self._last_failed,
                            stats=self.stats.snapshot())
 
-    def _lit_value(self, ilit: int) -> int:
-        a = self._assigns[ilit >> 1]
-        if a == UNASSIGNED:
-            return UNASSIGNED
-        return a ^ (ilit & 1)
-
     def _decision_level(self) -> int:
         return len(self._trail_lim)
 
@@ -836,11 +845,13 @@ class Solver:
             self._watches[lits[1]].append(cid)
 
     def _enqueue(self, ilit: int, reason: int) -> bool:
-        v = self._lit_value(ilit)
+        vals = self._vals
+        v = vals[ilit]
         if v != UNASSIGNED:
             return v == _TRUE
+        vals[ilit] = _TRUE
+        vals[ilit ^ 1] = _FALSE
         var = ilit >> 1
-        self._assigns[var] = (ilit & 1) ^ 1
         self._levels[var] = self._decision_level()
         self._reasons[var] = reason
         self._trail.append(ilit)
@@ -856,43 +867,41 @@ class Solver:
         """Fast unit propagation: binary lists first, blockers on long."""
         trail = self._trail
         clauses = self._clauses
-        assigns = self._assigns
+        vals = self._vals
         watches = self._watches
         bins = self._bin_watches
         levels = self._levels
         reasons = self._reasons
-        qhead = self._qhead
-        nprops = 0
+        lvl = len(self._trail_lim)
+        start = qhead = self._qhead
         while qhead < len(trail):
-            p = trail[qhead]
+            false_lit = trail[qhead] ^ 1
             qhead += 1
-            nprops += 1
-            false_lit = p ^ 1
-            lvl = len(self._trail_lim)
             # Binary implications: no clause-object access at all.
             for cid, other in bins[false_lit]:
-                a = assigns[other >> 1]
+                a = vals[other]
                 if a == UNASSIGNED:
+                    vals[other] = _TRUE
+                    vals[other ^ 1] = _FALSE
                     var = other >> 1
-                    assigns[var] = (other & 1) ^ 1
                     levels[var] = lvl
                     reasons[var] = cid
                     trail.append(other)
-                elif (a ^ (other & 1)) == _FALSE:
+                elif a == _FALSE:
                     self._qhead = len(trail)
-                    self.stats.propagations += nprops
+                    self.stats.propagations += qhead - start
                     return cid
             wl = watches[false_lit]
             i = 0
             j = 0
             n = len(wl)
             while i < n:
-                cid, blocker = wl[i]
+                w = wl[i]
                 i += 1
-                ab = assigns[blocker >> 1]
-                if ab != UNASSIGNED and (ab ^ (blocker & 1)) == _TRUE:
-                    # Satisfied via the blocker: keep the watch untouched.
-                    wl[j] = (cid, blocker)
+                cid, blocker = w
+                if vals[blocker] == _TRUE:
+                    # Satisfied via the blocker: keep the entry as it is.
+                    wl[j] = w
                     j += 1
                     continue
                 lits = clauses[cid]
@@ -901,16 +910,15 @@ class Solver:
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                a0 = assigns[first >> 1]
-                if a0 != UNASSIGNED and (a0 ^ (first & 1)) == _TRUE:
+                a0 = vals[first]
+                if a0 == _TRUE:
                     wl[j] = (cid, first)
                     j += 1
                     continue
                 moved = False
                 for k in range(2, len(lits)):
                     lk = lits[k]
-                    ak = assigns[lk >> 1]
-                    if ak == UNASSIGNED or (ak ^ (lk & 1)) == _TRUE:
+                    if vals[lk] != _FALSE:
                         lits[1], lits[k] = lits[k], lits[1]
                         watches[lits[1]].append((cid, first))
                         moved = True
@@ -920,8 +928,9 @@ class Solver:
                 wl[j] = (cid, first)
                 j += 1
                 if a0 == UNASSIGNED:
+                    vals[first] = _TRUE
+                    vals[first ^ 1] = _FALSE
                     var = first >> 1
-                    assigns[var] = (first & 1) ^ 1
                     levels[var] = lvl
                     reasons[var] = cid
                     trail.append(first)
@@ -933,18 +942,18 @@ class Solver:
                         i += 1
                     del wl[j:]
                     self._qhead = len(trail)
-                    self.stats.propagations += nprops
+                    self.stats.propagations += qhead - start
                     return cid
             del wl[j:]
         self._qhead = qhead
-        self.stats.propagations += nprops
+        self.stats.propagations += qhead - start
         return -1
 
     def _propagate_base(self) -> int:
         """Baseline unit propagation (the historical single-scheme path)."""
         trail = self._trail
         clauses = self._clauses
-        assigns = self._assigns
+        vals = self._vals
         watches = self._watches
         levels = self._levels
         reasons = self._reasons
@@ -967,16 +976,15 @@ class Solver:
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                a0 = assigns[first >> 1]
-                if a0 != UNASSIGNED and (a0 ^ (first & 1)) == _TRUE:
+                a0 = vals[first]
+                if a0 == _TRUE:
                     wl[j] = cid
                     j += 1
                     continue
                 moved = False
                 for k in range(2, len(lits)):
                     lk = lits[k]
-                    ak = assigns[lk >> 1]
-                    if ak == UNASSIGNED or (ak ^ (lk & 1)) == _TRUE:
+                    if vals[lk] != _FALSE:
                         lits[1], lits[k] = lits[k], lits[1]
                         watches[lits[1]].append(cid)
                         moved = True
@@ -986,8 +994,9 @@ class Solver:
                 wl[j] = cid
                 j += 1
                 if a0 == UNASSIGNED:
+                    vals[first] = _TRUE
+                    vals[first ^ 1] = _FALSE
                     var = first >> 1
-                    assigns[var] = (first & 1) ^ 1
                     levels[var] = lvl
                     reasons[var] = cid
                     trail.append(first)
@@ -1201,9 +1210,9 @@ class Solver:
                 if self._levels[v] > 0:
                     # A decision: under assumption-first search this is an
                     # assumption literal (the value actually decided).
-                    a = self._assigns[v]
-                    lit = v << 1 | (0 if a == _TRUE else 1)
-                    failed_internal.add(lit)
+                    lit = v << 1
+                    failed_internal.add(lit if self._vals[lit] == _TRUE
+                                        else lit | 1)
                 continue
             cids.add(r)
             lits = self._clauses[r]
@@ -1246,8 +1255,8 @@ class Solver:
         if self._decision_level() <= level:
             return
         bound = self._trail_lim[level]
-        assigns = self._assigns
-        saved = self._saved_phase
+        vals = self._vals
+        saved = self._saved_sign
         reasons = self._reasons
         if self._fast:
             # VMTF: no re-insertion; the search pointer moves up to the
@@ -1258,8 +1267,8 @@ class Solver:
             best = stamp[search]
             for ilit in self._trail[bound:]:
                 var = ilit >> 1
-                saved[var] = assigns[var]
-                assigns[var] = UNASSIGNED
+                saved[var] = ilit & 1
+                vals[ilit] = vals[ilit ^ 1] = UNASSIGNED
                 reasons[var] = -1
                 if stamp[var] > best:
                     best = stamp[var]
@@ -1270,8 +1279,8 @@ class Solver:
             for i in range(len(self._trail) - 1, bound - 1, -1):
                 ilit = self._trail[i]
                 var = ilit >> 1
-                saved[var] = assigns[var]
-                assigns[var] = UNASSIGNED
+                saved[var] = ilit & 1
+                vals[ilit] = vals[ilit ^ 1] = UNASSIGNED
                 reasons[var] = -1
                 insert(var)
         del self._trail[bound:]
@@ -1294,7 +1303,7 @@ class Solver:
         if fixed == self._simplified_fixed:
             return
         self._simplified_fixed = fixed
-        assigns = self._assigns
+        vals = self._vals
         proof = self.proof_logging
         locked = {self._reasons[lt >> 1] for lt in self._trail}
         keep: list[int] = []
@@ -1308,10 +1317,10 @@ class Solver:
             sat = False
             nfalse = 0
             for lt in lits:
-                a = assigns[lt >> 1]
+                a = vals[lt]
                 if a == UNASSIGNED:
                     continue
-                if (a ^ (lt & 1)) == _TRUE:
+                if a == _TRUE:
                     sat = True
                     break
                 nfalse += 1
@@ -1327,15 +1336,14 @@ class Solver:
                 # Watched positions (0, 1) cannot be root-false in an
                 # unsatisfied clause after level-0 propagation; guard
                 # anyway and leave such a clause untouched.
-                if (assigns[lits[0] >> 1] != UNASSIGNED
-                        or assigns[lits[1] >> 1] != UNASSIGNED):
+                if (vals[lits[0]] != UNASSIGNED
+                        or vals[lits[1]] != UNASSIGNED):
                     keep.append(cid)
                     continue
                 deps: list[int] = []
                 new: list[int] = []
                 for lt in lits:
-                    a = assigns[lt >> 1]
-                    if a != UNASSIGNED and (a ^ (lt & 1)) == _FALSE:
+                    if vals[lt] == _FALSE:
                         if proof:
                             deps.extend(self._explain_level0(lt >> 1))
                         continue
@@ -1394,22 +1402,22 @@ class Solver:
     def _pick_branch(self) -> int:
         """Next free decision literal (saved phase), or -1 when every
         variable is assigned."""
-        assigns = self._assigns
+        vals = self._vals
         if self._fast:
             queue = self._queue
             prev = queue.prev
             var = queue.search
-            while var and assigns[var] != UNASSIGNED:
+            while var and vals[var << 1] != UNASSIGNED:
                 var = prev[var]
             if not var:
                 return -1
             queue.search = var
-            return var << 1 | (1 if self._saved_phase[var] == _FALSE else 0)
+            return var << 1 | self._saved_sign[var]
         order = self._order
         while len(order):
             var = order.pop_max()
-            if assigns[var] == UNASSIGNED:
-                return var << 1 | (1 if self._saved_phase[var] == _FALSE else 0)
+            if vals[var << 1] == UNASSIGNED:
+                return var << 1 | self._saved_sign[var]
         return -1
 
     def _reduce_db(self) -> None:
